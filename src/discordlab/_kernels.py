@@ -3,11 +3,11 @@
 Minimising the average post-measurement entropy over measurement directions
 is the hot loop of the package: a dense hemisphere grid followed by
 coordinate-descent refinement, evaluated once per state and many thousand
-times in Monte Carlo sweeps.  The default implementation is compiled with
-numba (nogil, cached); setting DISCORDLAB_DISABLE_NUMBA=1 or a failed numba
-import selects a vectorised numpy fallback with identical semantics.  When
-R ignores the measured qubit's y axis the search reduces exactly to the
-x-z great circle, scanned in numpy by ``min_entropy_circle_scan``.
+times in Monte Carlo sweeps.  ``min_entropy_scan`` evaluates the whole
+grid in one vectorised numpy call (``avg_entropy_numpy``) and refines the
+best node with ``_refine_python``.  When R ignores the measured qubit's y
+axis the search reduces exactly to the x-z great circle, scanned in numpy
+by ``min_entropy_circle_scan``.
 
 A direction n on the unit sphere stands for the projective measurement with
 elements (1 +- n.sigma)/2 on qubit B.  Given the Pauli coefficient matrix R,
@@ -20,41 +20,20 @@ give the same measurement, so scanning one hemisphere suffices.
 """
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
     "P_FLOOR",
     "grid_directions",
     "avg_entropy_numpy",
     "min_entropy_scan",
-    "min_entropy_scan_numpy",
     "min_entropy_circle_scan",
 ]
 
 P_FLOOR = 1e-14  # outcome probabilities at or below this contribute no entropy
 _CIRCLE_LEVELS = 8  # step halvings probed per call in the circle descent
 
-_ENV_FLAG = "DISCORDLAB_DISABLE_NUMBA"
-
-
-def _numba_disabled():
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes"}
-
-
-USE_NUMBA = False
-if not _numba_disabled():
-    try:
-        import numba
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via the env flag
-        USE_NUMBA = False
-
-
-# --- numpy path ---------------------------------------------------------
 
 def grid_directions(n_polar, n_azimuth):
     """Hemisphere grid (theta, phi, n) with polar in [0, pi/2] inclusive."""
@@ -66,6 +45,16 @@ def grid_directions(n_polar, n_azimuth):
     st = np.sin(tt)
     ns = np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
     return tt, pp, ns
+
+
+def _entropy_of_norms(x):
+    """Binary entropy h(x) in bits of each Bloch-vector norm x in [0, 1]."""
+    hp = 0.5 * (1.0 + x)
+    hq = 1.0 - hp
+    h = -hp * np.log2(hp)
+    nz = hq > 0.0
+    h[nz] -= hq[nz] * np.log2(hq[nz])
+    return h
 
 
 def avg_entropy_numpy(r, ns):
@@ -80,12 +69,7 @@ def avg_entropy_numpy(r, ns):
         w = 0.5 * (a + sign * t_n)
         ok = p > P_FLOOR
         x = np.minimum(np.linalg.norm(w[ok], axis=1) / p[ok], 1.0)
-        hp = 0.5 * (1.0 + x)
-        hq = 1.0 - hp
-        h = -hp * np.log2(hp)
-        nz = hq > 0.0
-        h[nz] -= hq[nz] * np.log2(hq[nz])
-        out[ok] += p[ok] * h
+        out[ok] += p[ok] * _entropy_of_norms(x)
     return out
 
 
@@ -110,121 +94,6 @@ def _refine_python(eval_one, theta, phi, step, tol):
     return best, theta, phi
 
 
-def min_entropy_scan_numpy(r, n_polar, n_azimuth, refine_tol=1e-6):
-    tt, pp, ns = grid_directions(n_polar, n_azimuth)
-    vals = avg_entropy_numpy(r, ns)
-    k = int(np.argmin(vals))
-
-    def eval_one(theta, phi):
-        st = math.sin(theta)
-        n = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-        return float(avg_entropy_numpy(r, np.array([n]))[0])
-
-    step = max(0.5 * np.pi / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    best, theta, phi = _refine_python(eval_one, tt[k], pp[k], step, refine_tol)
-    return min(best, float(vals[k])), theta, phi
-
-
-# --- numba path ---------------------------------------------------------
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True, inline="always")
-    def _h(x):
-        if x >= 1.0:
-            return 0.0
-        p = 0.5 * (1.0 + x)
-        q = 1.0 - p
-        s = -p * math.log2(p)
-        if q > 0.0:
-            s -= q * math.log2(q)
-        return s
-
-    @numba.njit(cache=True, nogil=True, inline="always")
-    def _avg_entropy_point(r, n1, n2, n3):
-        bn = r[0, 1] * n1 + r[0, 2] * n2 + r[0, 3] * n3
-        w1 = r[1, 1] * n1 + r[1, 2] * n2 + r[1, 3] * n3
-        w2 = r[2, 1] * n1 + r[2, 2] * n2 + r[2, 3] * n3
-        w3 = r[3, 1] * n1 + r[3, 2] * n2 + r[3, 3] * n3
-        s = 0.0
-        for sign in (1.0, -1.0):
-            p = 0.5 * (1.0 + sign * bn)
-            if p > P_FLOOR:
-                y1 = 0.5 * (r[1, 0] + sign * w1)
-                y2 = 0.5 * (r[2, 0] + sign * w2)
-                y3 = 0.5 * (r[3, 0] + sign * w3)
-                x = math.sqrt(y1 * y1 + y2 * y2 + y3 * y3) / p
-                if x > 1.0:
-                    x = 1.0
-                s += p * _h(x)
-        return s
-
-    @numba.njit(cache=True, nogil=True, inline="always")
-    def _avg_entropy_angles(r, theta, phi):
-        st = math.sin(theta)
-        return _avg_entropy_point(
-            r, st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-        )
-
-    @numba.njit(cache=True, nogil=True)
-    def _scan_numba(r, n_polar, n_azimuth):
-        d_theta = 0.5 * math.pi / max(n_polar - 1, 1)
-        d_phi = 2.0 * math.pi / n_azimuth
-        best = np.inf
-        b_theta = 0.0
-        b_phi = 0.0
-        for i in range(n_polar):
-            theta = i * d_theta
-            st = math.sin(theta)
-            ct = math.cos(theta)
-            for j in range(n_azimuth):
-                phi = j * d_phi
-                v = _avg_entropy_point(
-                    r, st * math.cos(phi), st * math.sin(phi), ct
-                )
-                if v < best:
-                    best = v
-                    b_theta = theta
-                    b_phi = phi
-        return best, b_theta, b_phi
-
-    @numba.njit(cache=True, nogil=True)
-    def _refine_numba(r, theta, phi, step, tol):
-        best = _avg_entropy_angles(r, theta, phi)
-        for _ in range(100000):
-            if step < tol:
-                break
-            bt = theta
-            bp = phi
-            bv = best
-            for k in range(4):
-                if k == 0:
-                    t, p = theta + step, phi
-                elif k == 1:
-                    t, p = theta - step, phi
-                elif k == 2:
-                    t, p = theta, phi + step
-                else:
-                    t, p = theta, phi - step
-                v = _avg_entropy_angles(r, t, p)
-                if v < bv:
-                    bv = v
-                    bt = t
-                    bp = p
-            if bv < best:
-                best = bv
-                theta = bt
-                phi = bp
-            else:
-                step *= 0.5
-        return best, theta, phi
-
-    def _min_entropy_scan_numba(r, n_polar, n_azimuth, refine_tol=1e-6):
-        best, theta, phi = _scan_numba(r, n_polar, n_azimuth)
-        step = max(0.5 * math.pi / max(n_polar - 1, 1), 2.0 * math.pi / n_azimuth)
-        return _refine_numba(r, theta, phi, step, refine_tol)
-
-
 def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     """Minimum average post-measurement entropy over the direction sphere.
 
@@ -238,9 +107,18 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
         raise ValueError(f"expected a 4x4 coefficient matrix, got {r.shape}")
     if n_polar < 2 or n_azimuth < 1:
         raise ValueError("grid must have at least 2 polar and 1 azimuth nodes")
-    if USE_NUMBA:
-        return _min_entropy_scan_numba(r, n_polar, n_azimuth, refine_tol)
-    return min_entropy_scan_numpy(r, n_polar, n_azimuth, refine_tol)
+    tt, pp, ns = grid_directions(n_polar, n_azimuth)
+    vals = avg_entropy_numpy(r, ns)
+    k = int(np.argmin(vals))
+
+    def eval_one(theta, phi):
+        st = math.sin(theta)
+        n = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+        return float(avg_entropy_numpy(r, np.array([n]))[0])
+
+    step = max(0.5 * np.pi / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
+    best, theta, phi = _refine_python(eval_one, tt[k], pp[k], step, refine_tol)
+    return min(best, float(vals[k])), theta, phi
 
 
 def _circle_directions(xi):

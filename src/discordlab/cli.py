@@ -27,6 +27,7 @@ from . import __version__
 from .conjectures import (
     ConjectureViolationError,
     MixtureParams,
+    _parallel_map,
     classify_optimal_line,
     make_mixture_state,
     mixture_correlations_via_conjecture,
@@ -94,14 +95,11 @@ class RunConfig:
     threads: int = 1
     grid: tuple = None
     out: str = None
-    fmt: str = "json"
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads!r}")
 
@@ -449,15 +447,9 @@ def _cmd_conjecture_general_r(config):
         "chord_tol": config.extra["chord_tol"],
         "gap_tol": config.extra["gap_tol"],
     }
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            classified = list(
-                pool.map(lambda p: classify_optimal_line(p, **kwargs), params_list)
-            )
-    else:
-        classified = [classify_optimal_line(p, **kwargs) for p in params_list]
+    classified = _parallel_map(
+        lambda p: classify_optimal_line(p, **kwargs), params_list, config.threads
+    )
     rows = []
     for item in classified:
         p = item.params
@@ -631,6 +623,8 @@ def _build_parser():
 
 def _resolve_threads(value):
     if value is not None:
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {value!r}")
         return value
     env = os.environ.get("DISCORDLAB_THREADS", "").strip()
     if env:
@@ -650,7 +644,6 @@ def _config_from_args(args, argv):
     extra = {}
     grid = getattr(args, "grid", None)
     out = getattr(args, "out", None)
-    fmt = "json" if command in ("compute", "ellipsoid") else "csv"
     if command == "compute":
         extra = {
             "direction": args.direction,
@@ -684,7 +677,6 @@ def _config_from_args(args, argv):
         threads=_resolve_threads(getattr(args, "threads", None)),
         grid=grid,
         out=out,
-        fmt=fmt,
         extra=extra,
     )
 

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import P_FLOOR, _refine_python, min_entropy_circle_scan
+from ._kernels import (
+    P_FLOOR,
+    _entropy_of_norms,
+    _refine_python,
+    grid_directions,
+    min_entropy_circle_scan,
+)
 from .discord import (
     BRANCH_EQUI_ENTROPY,
     DEFAULT_GRID,
@@ -590,42 +596,44 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
         center, semi_axes = ellipsoid  # (center, semi_axes) for axis-aligned
         metric = np.diag(1.0 / np.asarray(semi_axes, float) ** 2)
         center = np.asarray(center, float)
-    delta = np.asarray(point, float) - center
+    point = np.asarray(point, float)
+    delta = point - center
     c0 = delta @ metric @ delta - 1.0
     if c0 > 1e-12:
         raise ValueError("point lies outside the ellipsoid")
+    no_chord = binary_entropy(np.linalg.norm(point))
 
-    def value_at(theta, phi):
-        d = np.array(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-        )
-        a2 = d @ metric @ d
-        b1 = d @ metric @ delta
+    def chord_values(ds):
+        # chord point + s d meets the surface where a2 s^2 + 2 b1 s + c0 = 0
+        md = ds @ metric
+        a2 = np.einsum("ij,ij->i", md, ds)
+        b1 = md @ delta
         disc = b1 * b1 - a2 * c0
-        if disc <= 0.0:
-            return binary_entropy(np.linalg.norm(point))
-        root = np.sqrt(disc)
+        root = np.sqrt(np.maximum(disc, 0.0))
         s_plus = (-b1 + root) / a2
         s_minus = (-b1 - root) / a2
-        if s_plus - s_minus <= 1e-14:
-            return binary_entropy(np.linalg.norm(point))
-        w_plus = -s_minus / (s_plus - s_minus)
-        y_plus = np.linalg.norm(point + s_plus * d)
-        y_minus = np.linalg.norm(point + s_minus * d)
-        return w_plus * binary_entropy(y_plus) + (1.0 - w_plus) * binary_entropy(y_minus)
+        width = s_plus - s_minus
+        out = np.full(len(ds), no_chord)
+        ok = (disc > 0.0) & (width > 1e-14)
+        w_plus = -s_minus[ok] / width[ok]
+        y_plus = np.linalg.norm(point + s_plus[ok, None] * ds[ok], axis=1)
+        y_minus = np.linalg.norm(point + s_minus[ok, None] * ds[ok], axis=1)
+        out[ok] = w_plus * _entropy_of_norms(np.minimum(y_plus, 1.0)) + (
+            1.0 - w_plus
+        ) * _entropy_of_norms(np.minimum(y_minus, 1.0))
+        return out
 
-    thetas = np.linspace(0.0, np.pi / 2, n_polar)
-    phis = np.arange(n_azimuth) * (2.0 * np.pi / n_azimuth)
-    best = np.inf
-    best_angles = (0.0, 0.0)
-    for theta in thetas:
-        for phi in phis:
-            val = value_at(theta, phi)
-            if val < best:
-                best, best_angles = val, (theta, phi)
+    def value_at(theta, phi):
+        st = np.sin(theta)
+        d = np.array([[st * np.cos(phi), st * np.sin(phi), np.cos(theta)]])
+        return float(chord_values(d)[0])
+
+    tt, pp, ds = grid_directions(n_polar, n_azimuth)
+    vals = chord_values(ds)
+    k = int(np.argmin(vals))
     step = max(np.pi / 2 / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    refined, _, _ = _refine_python(value_at, best_angles[0], best_angles[1], step, refine_tol)
-    return float(min(best, refined))
+    refined, _, _ = _refine_python(value_at, tt[k], pp[k], step, refine_tol)
+    return float(min(vals[k], refined))
 
 
 def offaxis_reference_state():

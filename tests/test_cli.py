@@ -77,8 +77,6 @@ def test_dump_load_round_trip(rng):
 def test_run_config_validation():
     with pytest.raises(ValueError, match="command"):
         RunConfig(command="bogus", argv=())
-    with pytest.raises(ValueError, match="format"):
-        RunConfig(command="compute", argv=(), fmt="xml")
     with pytest.raises(ValueError, match="threads"):
         RunConfig(command="compute", argv=(), threads=0)
 
@@ -103,6 +101,12 @@ def test_exit_two_on_flag_errors(capsys):
     assert run(capsys, ["compute", "--state", X_SPEC, "--bogus"])[0] == 2
     assert run(capsys, ["compute"])[0] == 2
     assert run(capsys, ["nonsense"])[0] == 2
+
+
+def test_exit_two_on_threads_below_one(capsys):
+    code, _, err = run(capsys, ["compute", "--state", X_SPEC, "--threads", "0"])
+    assert code == 2
+    assert "threads" in err
 
 
 def test_exit_three_on_state_errors(capsys):
@@ -285,6 +289,16 @@ def test_conjecture_general_r_csv(capsys):
     for line in lines[6:]:
         assert line.split(",")[9] in ("I", "II")
     assert "class_I=" in err
+
+
+def test_conjecture_general_r_threads_do_not_change_output(capsys):
+    argv = ["conjecture", "general-r", "--samples", "4", "--seed", "5"]
+    code, serial, _ = run(capsys, argv + ["--threads", "1"])
+    assert code == 0
+    code, threaded, _ = run(capsys, argv + ["--threads", "2"])
+    assert code == 0
+    # only the provenance line that echoes the command differs
+    assert serial.replace("--threads 1", "--threads 2") == threaded
 
 
 def test_sweep_mixture_csv(capsys):

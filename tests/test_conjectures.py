@@ -364,3 +364,15 @@ def test_min_chord_entropy_validation():
     )
     with pytest.raises(ValueError, match="nondegenerate"):
         min_chord_entropy(flat, [0.0, 0.0, 0.0])
+
+
+def test_min_chord_entropy_matches_measurement_oracle(rng):
+    # measurements on B steer A onto the chords of its ellipsoid through
+    # A's Bloch vector, so the chord minimum is the measurement minimum
+    states = [offaxis_reference_state()] + [ginibre_state(rng) for _ in range(5)]
+    for state in states:
+        chord = min_chord_entropy(
+            steering_ellipsoid(state), bloch_vector(partial_trace(state, "A"))
+        )
+        oracle, _ = brute_force_min_entropy(pauli_expansion(state))
+        assert chord == pytest.approx(oracle, abs=1e-8)

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from conftest import ginibre_state, random_direction
@@ -35,18 +32,8 @@ def test_scan_never_above_grid_nodes(rng):
     r = pauli_expansion(ginibre_state(rng)).entries
     _, _, ns = _kernels.grid_directions(31, 60)
     grid_best = _kernels.avg_entropy_numpy(r, ns).min()
-    value, _, _ = _kernels.min_entropy_scan_numpy(r, 31, 60)
+    value, _, _ = _kernels.min_entropy_scan(r, 31, 60)
     assert value <= grid_best + 1e-15
-
-
-def test_numpy_and_numba_paths_agree(rng):
-    if not _kernels.USE_NUMBA:
-        pytest.skip("numba path disabled")
-    for _ in range(10):
-        r = pauli_expansion(ginibre_state(rng)).entries
-        v_np, _, _ = _kernels.min_entropy_scan_numpy(r, 31, 60)
-        v_nb, _, _ = _kernels.min_entropy_scan(r, 31, 60)
-        assert v_nb == pytest.approx(v_np, abs=1e-9)
 
 
 def test_min_entropy_scan_antipodal_invariance(rng):
@@ -94,13 +81,3 @@ def test_refine_descends_from_start():
     assert theta == pytest.approx(1.0, abs=1e-6)
     assert phi == pytest.approx(2.0, abs=1e-6)
 
-
-def test_env_flag_disables_numba():
-    code = (
-        "import os; os.environ['DISCORDLAB_DISABLE_NUMBA'] = '1'; "
-        "from discordlab import _kernels; print(_kernels.USE_NUMBA)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"

@@ -1,0 +1,56 @@
+"""The benchmark's traced run wraps discordlab functions by name.
+
+``perfbench/spans.py`` replaces the layers' functions with span-recording
+wrappers.  A renamed or bypassed function would leave its span empty and
+only show up as missing per-layer metrics, so this test runs a traced
+``compute`` and ``conjecture mixture`` and checks that the kernel spans
+were recorded.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from discordlab import cli
+from discordlab.qstate import TwoQubitState
+rng = np.random.default_rng(3)
+g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+m = g @ g.conj().T
+spec = json.dumps(cli.dump_state(TwoQubitState(m / m.trace().real)))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [
+        cli.parse_and_dispatch(["compute", "--state", spec]),
+        cli.parse_and_dispatch(["conjecture", "mixture", "--samples", "3", "--seed", "1"]),
+    ]
+print(json.dumps({"codes": codes, "spans": sorted(set(tracer.names))}))
+"""
+
+
+def test_benchmark_spans_reach_the_kernels():
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    expected = {
+        "kernels.oracle",
+        "kernels.grid_build",
+        "kernels.grid_eval",
+        "kernels.refine",
+        "kernels.circle_scan",
+    }
+    assert expected <= set(result["spans"])
