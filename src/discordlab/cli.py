@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 flag errors, 3 state-validation errors,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -525,9 +526,11 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser():
-    # SUPPRESS keeps a subcommand's copy of the flag from clobbering a
-    # value parsed by the root parser (argparse shares one namespace).
+    # Built on the first call and reused: parsing leaves the parser as it
+    # was.  SUPPRESS keeps a subcommand's copy of the flag from clobbering
+    # a value parsed by the root parser (argparse shares one namespace).
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="RNG seed")
     shared.add_argument(

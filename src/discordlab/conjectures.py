@@ -26,9 +26,10 @@ import numpy as np
 
 from ._kernels import (
     P_FLOOR,
+    _cached_grid,
+    _directions,
     _entropy_of_norms,
     _refine_python,
-    grid_directions,
     min_entropy_circle_scan,
 )
 from .discord import (
@@ -44,6 +45,8 @@ from .discord import (
 from .qstate import (
     CorrelationMatrix,
     TwoQubitState,
+    _check_positive,
+    _density_matrix,
     binary_entropy,
     mutual_information,
     partial_trace,
@@ -495,8 +498,10 @@ def sample_general_r_params(count, seed, max_tries=100000):
     """Rejection-sample valid template states, free entries uniform in [-1, 1].
 
     Rejection criteria: near-zero s1 or t13, a singular R, or a
-    reconstructed matrix that fails positivity.  One RNG stream per
-    sample keeps runs reproducible under any parallel schedule.
+    reconstructed matrix that fails positivity.  Positivity is checked on
+    the raw matrix first, so only accepted draws build a TwoQubitState.
+    One RNG stream per sample keeps runs reproducible under any parallel
+    schedule.
     """
     children = np.random.SeedSequence(seed).spawn(count)
     out = []
@@ -507,8 +512,10 @@ def sample_general_r_params(count, seed, max_tries=100000):
             if abs(s1) < 1e-3 or abs(t13) < 1e-3:
                 continue
             params = GeneralRParams(r1=r1, r3=r3, s1=s1, s3=s3, t13=t13, t22=t22, t31=t31)
+            rho = _density_matrix(general_r_matrix(params))
             try:
-                state = make_general_r_state(params)
+                _check_positive(rho)  # most draws fail here, before a state is built
+                state = TwoQubitState(rho)
             except ValueError:
                 continue
             if abs(pauli_expansion(state).det) <= 1e-10:
@@ -623,12 +630,10 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
         ) * _entropy_of_norms(np.minimum(y_minus, 1.0))
         return out
 
-    def value_at(theta, phi):
-        st = np.sin(theta)
-        d = np.array([[st * np.cos(phi), st * np.sin(phi), np.cos(theta)]])
-        return float(chord_values(d)[0])
+    def value_at(thetas, phis):
+        return chord_values(_directions(thetas, phis))
 
-    tt, pp, ds = grid_directions(n_polar, n_azimuth)
+    tt, pp, ds = _cached_grid(n_polar, n_azimuth)
     vals = chord_values(ds)
     k = int(np.argmin(vals))
     step = max(np.pi / 2 / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)

@@ -78,6 +78,14 @@ def binary_entropy(x):
     return float(s)
 
 
+def _check_positive(m):
+    """Raise InvalidStateError if the Hermitian matrix ``m`` has an
+    eigenvalue below EIGENVALUE_FLOOR (complex128 ``eigvalsh``)."""
+    lowest = np.linalg.eigvalsh(np.asarray(m, dtype=np.complex128)).min()
+    if lowest < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"matrix has negative eigenvalue {lowest:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """Validated 4x4 density matrix of a qubit pair.
@@ -99,11 +107,7 @@ class TwoQubitState:
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
-        lam = np.linalg.eigvalsh(m)
-        if lam.min() < EIGENVALUE_FLOOR:
-            raise InvalidStateError(
-                f"matrix has negative eigenvalue {lam.min():.3e}"
-            )
+        _check_positive(m)
         m = 0.5 * (m + m.conj().T)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -244,11 +248,15 @@ def pauli_expansion(state):
     return CorrelationMatrix(r.real)
 
 
+def _density_matrix(r):
+    """Unvalidated inverse of :func:`pauli_expansion`: the 4x4 matrix of R."""
+    entries = r.entries if isinstance(r, CorrelationMatrix) else np.asarray(r, float)
+    return 0.25 * np.einsum("ab,abij->ij", entries, PAULI_PRODUCTS)
+
+
 def reconstruct_state(r):
     """Inverse of :func:`pauli_expansion`; validates the result."""
-    entries = r.entries if isinstance(r, CorrelationMatrix) else np.asarray(r, float)
-    rho = 0.25 * np.einsum("ab,abij->ij", entries, PAULI_PRODUCTS)
-    return TwoQubitState(rho)
+    return TwoQubitState(_density_matrix(r))
 
 
 def partial_trace(state, keep="A"):

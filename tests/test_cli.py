@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import ginibre_state
 
-from discordlab import __version__
+from discordlab import __version__, cli
 from discordlab.cli import (
     RunConfig,
     StateLoadError,
@@ -147,6 +147,29 @@ def test_exit_four_on_conjecture_threshold(capsys):
 
 def test_version_flag(capsys):
     assert run(capsys, ["--version"])[0] == 0
+
+
+def test_successive_calls_do_not_share_flags(capsys, monkeypatch):
+    # the parser is built once per process; no call's flags may reach the next
+    code, out, _ = run(capsys, ["compute", "--state", X_SPEC, "--method", "numeric"])
+    assert code == 0
+    assert json.loads(out)["branch"] == "numeric"
+    code, out, _ = run(capsys, ["compute", "--state", X_SPEC])
+    assert code == 0
+    assert json.loads(out)["branch"] in ("quasi_eigen", "equi_entropy")
+
+    monkeypatch.delenv("DISCORDLAB_THREADS", raising=False)
+    seen = []
+    monkeypatch.setitem(
+        cli._HANDLERS,
+        "conjecture-mixture",
+        lambda config: seen.append((config.seed, config.threads)) or 0,
+    )
+    mixture = ["conjecture", "mixture", "--samples", "1"]
+    assert parse_and_dispatch(["--seed", "7", "--threads", "2", *mixture]) == 0
+    assert parse_and_dispatch([*mixture, "--seed", "8", "--threads", "3"]) == 0
+    assert parse_and_dispatch(mixture) == 0
+    assert seen == [(7, 2), (8, 3), (None, 1)]
 
 
 # ---- compute -------------------------------------------------------------

@@ -29,7 +29,7 @@ from discordlab.discord import (
     brute_force_min_entropy,
     post_measurement_ensemble,
 )
-from discordlab.qstate import bloch_vector, partial_trace, pauli_expansion
+from discordlab.qstate import TwoQubitState, bloch_vector, partial_trace, pauli_expansion
 from discordlab.steering import steering_ellipsoid
 
 
@@ -280,6 +280,20 @@ def test_sample_general_r_params_reproducible_and_valid():
     for p in drawn:
         state = make_general_r_state(p)  # validates positivity
         assert abs(pauli_expansion(state).det) > 1e-10
+
+
+def test_general_r_sampling_builds_one_state_per_sample(monkeypatch):
+    built = []
+    post_init = TwoQubitState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TwoQubitState, "__post_init__", counting)
+    drawn = sample_general_r_params(4, 11)
+    assert len(drawn) == 4
+    assert len(built) == 4  # rejected draws never build a state
 
 
 def test_general_r_geometry_matches_steering_ellipsoid():

@@ -1,9 +1,17 @@
+import resource
+import sys
+
 import numpy as np
 import pytest
 from conftest import ginibre_state, random_direction
 
-from discordlab import _kernels
-from discordlab.discord import avg_entropy, post_measurement_ensemble, ProjectiveMeasurement
+from discordlab import _kernels, conjectures
+from discordlab.discord import (
+    DEFAULT_GRID,
+    ProjectiveMeasurement,
+    avg_entropy,
+    post_measurement_ensemble,
+)
 from discordlab.qstate import pauli_expansion
 
 
@@ -81,3 +89,63 @@ def test_refine_descends_from_start():
     assert theta == pytest.approx(1.0, abs=1e-6)
     assert phi == pytest.approx(2.0, abs=1e-6)
 
+
+
+def test_avg_entropy_numpy_blocks_rows(rng):
+    r = pauli_expansion(ginibre_state(rng)).entries
+    block = _kernels._BLOCK_ROWS
+    ns = rng.normal(size=(2 * block + 7, 3))
+    ns /= np.linalg.norm(ns, axis=1)[:, np.newaxis]
+    whole = _kernels.avg_entropy_numpy(r, ns)
+    # a long call gives bitwise the values of its block-sized slices ...
+    sliced = np.concatenate(
+        [_kernels.avg_entropy_numpy(r, ns[i : i + block]) for i in range(0, len(ns), block)]
+    )
+    assert whole.tobytes() == sliced.tobytes()
+    # ... and those of single rows up to rounding
+    rows = np.array([_kernels.avg_entropy_numpy(r, n[np.newaxis, :])[0] for n in ns])
+    np.testing.assert_allclose(whole, rows, rtol=0.0, atol=1e-15)
+
+
+def test_grid_cache_builds_each_shape_once(monkeypatch, rng):
+    monkeypatch.setattr(_kernels, "_GRIDS", {})
+    built = []
+    build = _kernels.grid_directions
+
+    def counting(n_polar, n_azimuth):
+        built.append((n_polar, n_azimuth))
+        return build(n_polar, n_azimuth)
+
+    monkeypatch.setattr(_kernels, "grid_directions", counting)
+    r = pauli_expansion(ginibre_state(rng)).entries
+    for _ in range(3):
+        _kernels.min_entropy_scan(r, 7, 12)
+    _kernels.min_entropy_scan(r, 9, 12)
+    conjectures.min_chord_entropy(((0.0, 0.0, 0.1), (0.5, 0.4, 0.3)), (0.1, 0.0, 0.1), 7, 12)
+    assert built == [(7, 12), (9, 12)]
+
+    cached = _kernels._cached_grid(7, 12)
+    for arr in cached:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[2][0, 0] = 1.0
+    # the public builder still hands out fresh, writable arrays
+    fresh = build(7, 12)
+    for new, old in zip(fresh, cached):
+        assert new.flags.writeable and new is not old
+        np.testing.assert_array_equal(new, old)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux fault counts")
+def test_warm_oracle_calls_reuse_memory(rng):
+    # a 65k-row temporary allocated afresh on every call costs ~3,000 minor
+    # page faults per call; blocked evaluation keeps them on the heap
+    r = pauli_expansion(ginibre_state(rng)).entries
+    for _ in range(2):
+        _kernels.min_entropy_scan(r, *DEFAULT_GRID)
+    calls = 5
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        _kernels.min_entropy_scan(r, *DEFAULT_GRID)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / calls < 200
