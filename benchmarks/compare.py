@@ -1,14 +1,16 @@
 """Before-and-after benchmark: perfbench runs on a parent commit and on the working tree.
 
-    python3 benchmarks/compare.py --parent HEAD --out BENCH_6.json \
+    python3 benchmarks/compare.py --parent HEAD~1 --out bench.json \
         compute=10 sweep=3 survey=3 trajectory=3
 
-Run from the repository root.  The parent's committed files are extracted
+Run from the repository root.  ``--parent`` is the commit to compare
+against: ``HEAD`` while the change is uncommitted, ``HEAD~1`` or a hash
+once it is committed.  The parent's committed files are extracted
 with ``git archive`` into a temporary directory, which is deleted at the
 end.  For each ``workload=pairs`` argument the script makes that many
 pairs of ``perfbench/run.py`` runs, one on the parent and one on the
 working tree, at BENCHMARK.json's ``run_seconds`` and ``--trace 0``.  Pair
-k uses seed ``--first-seed + k`` on both sides, and the side that runs
+k uses seed ``FIRST_SEED + k`` on both sides, and the side that runs
 first alternates from pair to pair, so that a drift in host speed falls
 on both sides alike.  Each side runs its own ``perfbench/`` against its
 own ``src/``.
@@ -33,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+FIRST_SEED = 201
 
 
 def git(*args):
@@ -111,14 +114,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_6.json")
-    parser.add_argument("--first-seed", type=int, default=201)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=PAIRS")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     known = {w["name"] for w in bench["workloads"]}
     plan = []
     for item in args.pairs:
@@ -133,7 +133,7 @@ def main(argv=None):
         "change": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
         "command": " ".join(["python3", "benchmarks/compare.py", *sys.argv[1:]]),
         "seconds": seconds,
-        "first_seed": args.first_seed,
+        "first_seed": FIRST_SEED,
         "machine": machine(),
         "workloads": {},
     }
@@ -144,7 +144,7 @@ def main(argv=None):
         for name, count in plan:
             runs = []
             for k in range(count):
-                seed = args.first_seed + k
+                seed = FIRST_SEED + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
                     result = run_once(trees[side], name, seed, seconds)

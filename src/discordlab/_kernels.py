@@ -90,8 +90,6 @@ def avg_entropy_numpy(r, ns):
     bitwise the values of its block-sized slices.
     """
     ns = np.atleast_2d(np.asarray(ns, dtype=np.float64))
-    if len(ns) <= _BLOCK_ROWS:
-        return _avg_entropy_block(r, ns)
     out = np.empty(len(ns))
     for start in range(0, len(ns), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS

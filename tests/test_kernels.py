@@ -1,3 +1,4 @@
+import platform
 import resource
 import sys
 
@@ -136,10 +137,16 @@ def test_grid_cache_builds_each_shape_once(monkeypatch, rng):
         np.testing.assert_array_equal(new, old)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux fault counts")
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the bound assumes glibc's malloc",
+)
 def test_warm_oracle_calls_reuse_memory(rng):
     # a 65k-row temporary allocated afresh on every call costs ~3,000 minor
-    # page faults per call; blocked evaluation keeps them on the heap
+    # page faults per call; blocked evaluation keeps them on the heap.  The
+    # bound assumes glibc's default mmap and trim thresholds (a preloaded
+    # allocator or MALLOC_*_THRESHOLD_ settings change what is measured), and
+    # ru_minflt also counts faults taken by the BLAS threads of this process.
     r = pauli_expansion(ginibre_state(rng)).entries
     for _ in range(2):
         _kernels.min_entropy_scan(r, *DEFAULT_GRID)
