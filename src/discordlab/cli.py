@@ -12,7 +12,7 @@ the same flags.  JSON carries floats at nine significant digits; CSV
 uses ``repr`` floats, '#' comments, '.' decimals and LF endings.
 
 Exit codes: 0 success, 2 flag errors, 3 state-validation errors,
-4 conjecture violations or ``--verify`` disagreement.
+4 conjecture violations or ``--verify`` disagreement, 5 internal errors.
 """
 
 import argparse
@@ -31,7 +31,6 @@ from .conjectures import (
     _parallel_map,
     classify_optimal_line,
     make_mixture_state,
-    mixture_correlations_via_conjecture,
     sample_general_r_params,
     sweep_mixture,
 )
@@ -587,14 +586,11 @@ def _build_parser():
     conjecture = sub.add_parser(name="conjecture", help="Monte-Carlo conjecture scans")
     conj_sub = conjecture.add_subparsers(dest="family", required=True)
 
+    # the mixture family's oracle scans the x-z circle, which has no azimuth
+    polar_only = "only the polar count is read: it sets the x-z circle scan's nodes"
     mixture = conj_sub.add_parser("mixture", parents=[shared])
     mixture.add_argument("--samples", type=int, required=True)
-    mixture.add_argument(
-        "--grid",
-        type=_parse_grid,
-        default=DEFAULT_GRID,
-        help="only the polar count is read: it sets the x-z circle scan's nodes",
-    )
+    mixture.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID, help=polar_only)
     mixture.add_argument(
         "--fail-above",
         type=float,
@@ -618,7 +614,9 @@ def _build_parser():
     sweep_mix.add_argument(
         "--grid-points", "--grid", dest="grid_points", type=int, default=37
     )
-    sweep_mix.add_argument("--oracle-grid", type=_parse_grid, default=DEFAULT_GRID)
+    sweep_mix.add_argument(
+        "--oracle-grid", type=_parse_grid, default=DEFAULT_GRID, help=polar_only
+    )
     sweep_mix.add_argument("--out", default=None)
 
     return parser
@@ -700,6 +698,9 @@ def parse_and_dispatch(argv):
     except ConjectureViolationError as exc:
         print(f"conjecture violation: {exc}", file=sys.stderr)
         return 4
+    except RuntimeError as exc:  # a broken internal invariant, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except (
         StateLoadError,
         InvalidStateError,

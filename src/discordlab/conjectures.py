@@ -265,8 +265,8 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _gap_sample(params, grid, refine_tol):
-    """Circle-oracle optimum of one mixture state and its equi-entropy gap.
+def _circle_oracle(r, n_polar, refine_tol=1e-6):
+    """Exact ``(value, ProjectiveMeasurement)`` minimum for a mixture-family R.
 
     Column 2 of a mixture state's R (Bob's y axis) vanishes, so p_pm and
     T n do not depend on n2.  A direction with n2 != 0 therefore yields
@@ -274,25 +274,28 @@ def _gap_sample(params, grid, refine_tol):
     which by concavity of h cannot beat the sharp one: the unconstrained
     minimum over the sphere lies on the x-z great circle, whatever the
     equi-entropy conjecture says.  The circle scan visits the grid's nodes
-    on that circle, so only ``grid[0]`` (polar nodes) sets its resolution.
-    Raises RuntimeError if the column is not zero within 1e-12.
+    on that circle, so only ``n_polar`` sets its resolution.  Raises
+    RuntimeError if the column is not zero within 1e-12.
     """
-    r = pauli_expansion(make_mixture_state(params))
     y_column = np.abs(r.entries[:, 2]).max()
     if y_column > 1e-12:
         raise RuntimeError(
             f"mixture state has |R[:, 2]| = {y_column:.3g}; the x-z circle "
             "oracle does not apply"
         )
-    value, xi = min_entropy_circle_scan(r.entries, grid[0], refine_tol)
-    measurement = ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
+    value, xi = min_entropy_circle_scan(r.entries, n_polar, refine_tol)
+    return value, ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
+
+
+def _gap_sample(params, grid, refine_tol):
+    """Circle-oracle optimum of one mixture state and its equi-entropy gap."""
+    r = pauli_expansion(make_mixture_state(params))
+    value, measurement = _circle_oracle(r, grid[0], refine_tol)
     members = post_measurement_ensemble(r, measurement)
     if any(member.zero_probability for member in members):
         gap = 0.0  # single-outcome edge: the ensemble is one point
     else:
-        gap = abs(
-            np.linalg.norm(members[0].bloch) - np.linalg.norm(members[1].bloch)
-        )
+        gap = abs(np.linalg.norm(members[0].bloch) - np.linalg.norm(members[1].bloch))
     return GapSample(
         params=params, optimal_measurement=measurement, gap=float(gap), min_entropy=value
     )
@@ -311,7 +314,7 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     The oracle is the exact one-dimensional scan of the x-z great circle
     (``min_entropy_circle_scan``): the family's R ignores the measured
     qubit's y axis, so by concavity of h no direction off that circle does
-    better (see ``_gap_sample``).  It is independent of the equi-entropy
+    better (see ``_circle_oracle``).  It is independent of the equi-entropy
     constraint under test.  ``grid`` is read for its polar count only: the
     scan visits the 2 (polar - 1) grid nodes that lie on the circle.
     """
@@ -348,58 +351,51 @@ def _constrained_optimum(p):
 
     pp, pm, rp, rm, delta = arrays(xi)
     valid = (pp > 1e-13) & (pm > 1e-13)
-    best_r2 = -1.0
-    best_xi = 0.0
     # points where delta sits at rounding noise are already roots; counting
     # them here also keeps noise wiggles out of the bisection brackets
     noise = 1e-13
     flat = valid & (np.abs(delta) <= noise)
-    if flat.any():
-        idx = int(np.argmax(np.where(flat, rp, -1.0)))
-        best_r2, best_xi = float(rp[idx]), float(xi[idx])
     sign_change = (
         valid[:-1]
         & valid[1:]
         & (delta[:-1] * delta[1:] < 0.0)
         & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
     )
-    for i in np.flatnonzero(sign_change):
-        lo, hi = xi[i], xi[i + 1]
-        f_lo = delta[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            _, _, r_mid, _, d_mid = arrays(np.array([mid]))
-            if d_mid[0] == 0.0:
-                lo = hi = mid
-                break
-            if (d_mid[0] > 0.0) == (f_lo > 0.0):
-                lo = mid
-            else:
-                hi = mid
+    # bisect all brackets at once; an exact root sets lo = hi = mid for good
+    i = np.flatnonzero(sign_change)
+    lo, hi, lo_positive = xi[i], xi[i + 1], delta[i] > 0.0
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        _, _, r_mid, _, _ = arrays(np.array([mid]))
-        if r_mid[0] > best_r2:
-            best_r2, best_xi = float(r_mid[0]), float(mid)
-    if best_r2 < 0.0:
+        d_mid = arrays(mid)[4]
+        same_sign = (d_mid > 0.0) == lo_positive
+        lo = np.where((d_mid == 0.0) | same_sign, mid, lo)
+        hi = np.where((d_mid == 0.0) | ~same_sign, mid, hi)
+    mid = 0.5 * (lo + hi)
+    # first largest |y+|^2 over the flat roots, then the brackets in order
+    r_mid = np.nan_to_num(arrays(mid)[2], nan=-1.0)
+    r2 = np.concatenate((np.where(flat, rp, -1.0), r_mid))
+    k = int(np.argmax(r2))
+    if r2[k] < 0.0:
         raise RuntimeError("no equi-norm measurement found; should be unreachable")
-    return float(np.sqrt(best_r2)), best_xi
+    return float(np.sqrt(r2[k])), float(np.concatenate((xi, mid))[k])
 
 
 def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     """Correlation report for the mixture family assuming the conjecture.
 
     Maximizes |y+| under |y+| = |y-| (a one-dimensional search), then
-    C = S(rho^A) - h(|y+|*).  The unconstrained oracle runs alongside as
-    a guard: disagreement beyond 1e-4 bits raises
-    :class:`ConjectureViolationError` with the counterexample attached.
+    C = S(rho^A) - h(|y+|*).  The exact circle oracle (``_circle_oracle``),
+    which does not assume the conjecture, runs alongside as a guard:
+    disagreement beyond 1e-4 bits raises :class:`ConjectureViolationError`
+    with the counterexample attached.  ``grid`` is read for its polar
+    count only.
     """
     radius, xi = _constrained_optimum(p)
     value = binary_entropy(radius)
     measurement = ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
 
     state = make_mixture_state(p)
-    r = pauli_expansion(state)
-    oracle_value, oracle_m = brute_force_min_entropy(r, grid=grid)
+    oracle_value, oracle_m = _circle_oracle(pauli_expansion(state), grid[0])
     if abs(value - oracle_value) > 1e-4:
         raise ConjectureViolationError(
             f"constrained optimum {value:.9g} vs oracle {oracle_value:.9g} "
@@ -432,8 +428,9 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1, beta_ma
     runs over [0, beta_max], by default the full [0, pi] so reflection
     symmetry about beta = pi/2 is visible in the surface.  Cells with
     beta <= pi/2 go through the constrained maximizer; the mirror half
-    uses the numeric oracle directly, so the two halves agreeing is a
-    cross-check, not a construction.
+    uses the exact circle oracle directly, which does not assume the
+    conjecture, so the two halves agreeing is a cross-check, not a
+    construction.  ``oracle_grid`` is read for its polar count only.
     """
     alphas = np.linspace(0.0, np.pi / 2, grid_points)
     betas = np.linspace(0.0, beta_max, grid_points)
@@ -448,7 +445,7 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1, beta_ma
             )
             return (a, b, report.mutual_info, report.classical, report.discord)
         state = TwoQubitState(_mixture_matrix(lam, a, b))
-        value, _ = brute_force_min_entropy(pauli_expansion(state), grid=oracle_grid)
+        value, _ = _circle_oracle(pauli_expansion(state), oracle_grid[0])
         s_a = von_neumann_entropy(partial_trace(state, "A"))
         info = mutual_information(state)
         classical = s_a - value

@@ -28,12 +28,8 @@ import numpy as np
 
 from ._kernels import P_FLOOR, min_entropy_scan
 from .qstate import (
-    BellDiagonalParams,
     CorrelationMatrix,
-    TwoQubitState,
-    XStateParams,
     binary_entropy,
-    bloch_vector,
     extract_x_params,
     mutual_information,
     partial_trace,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import ginibre_state
 
-from discordlab import __version__, cli
+from discordlab import __version__, cli, conjectures
 from discordlab.cli import (
     RunConfig,
     StateLoadError,
@@ -335,3 +335,15 @@ def test_sweep_mixture_csv(capsys):
     assert len(lines) == 5 + 16
     betas = {float(line.split(",")[1]) for line in lines[5:]}
     assert max(betas) == pytest.approx(np.pi)  # full beta range by default
+
+
+def test_exit_five_on_internal_error(capsys, monkeypatch, rng):
+    # a non-mixture R breaks the circle oracle's invariant: an internal
+    # fault, reported on stderr rather than as a traceback or a flag error
+    bad = ginibre_state(rng).matrix
+    monkeypatch.setattr(conjectures, "_mixture_matrix", lambda lam, a, b: bad)
+    argv = ["sweep", "mixture", "--lambda", "0.3", "--grid-points", "2"]
+    code, _, err = run(capsys, argv)
+    assert code == 5
+    assert err.startswith("internal error: ")
+    assert "R[:, 2]" in err

@@ -29,7 +29,13 @@ from discordlab.discord import (
     brute_force_min_entropy,
     post_measurement_ensemble,
 )
-from discordlab.qstate import TwoQubitState, bloch_vector, partial_trace, pauli_expansion
+from discordlab.qstate import (
+    TwoQubitState,
+    bloch_vector,
+    partial_trace,
+    pauli_expansion,
+    von_neumann_entropy,
+)
 from discordlab.steering import steering_ellipsoid
 
 
@@ -154,13 +160,32 @@ def test_circle_oracle_matches_grid_oracle():
         assert sample.min_entropy == pytest.approx(oracle, abs=1e-12)
 
 
-def test_gap_sample_requires_vanishing_y_column(monkeypatch, rng):
-    # the circle oracle is exact only when Bob's y axis does not enter R
-    monkeypatch.setattr(conjectures, "make_mixture_state", lambda p: ginibre_state(rng))
-    with pytest.raises(RuntimeError, match=r"R\[:, 2\]"):
-        conjectures._gap_sample(
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: conjectures._gap_sample(
             MixtureParams(lam=0.3, alpha=0.7, beta=1.1), DEFAULT_GRID, 1e-9
-        )
+        ),
+        lambda: mixture_correlations_via_conjecture(
+            MixtureParams(lam=0.3, alpha=0.7, beta=1.1)
+        ),
+        # beta in {0, pi}: the beta = 0 cells stay mixtures, so the first
+        # failing cell is the mirror cell (0, pi)
+        lambda: sweep_mixture(0.3, 2),
+    ],
+    ids=["gap_sample", "guard", "sweep_mirror"],
+)
+def test_gap_sample_requires_vanishing_y_column(monkeypatch, rng, route):
+    # the circle oracle is exact only when Bob's y axis does not enter R
+    bad = ginibre_state(rng).matrix
+    mixture = conjectures._mixture_matrix
+    monkeypatch.setattr(
+        conjectures,
+        "_mixture_matrix",
+        lambda lam, alpha, beta: bad if beta > 0.0 else mixture(lam, alpha, beta),
+    )
+    with pytest.raises(RuntimeError, match=r"R\[:, 2\]"):
+        route()
 
 
 def test_ensemble_at_near_zero_outcome_probability():
@@ -223,6 +248,75 @@ def test_conjecture_violation_error_payload():
     assert err.constrained == 0.5
     assert err.unconstrained == 0.4
     assert err.measurement is m
+
+
+def _constrained_optimum_per_bracket(p):
+    # the maximizer's former scalar loop: one bisection per bracket in turn
+    xi = np.linspace(0.0, np.pi, conjectures._XI_GRID + 1)
+
+    def arrays(angles):
+        pp, pm, y1p, y1m, y3p, y3m = conjectures._mixture_outcomes(
+            p, 0.5 * np.sin(angles), 0.5 * np.cos(angles)
+        )
+        rp = y1p * y1p + y3p * y3p
+        return pp, pm, rp, rp - (y1m * y1m + y3m * y3m)
+
+    pp, pm, rp, delta = arrays(xi)
+    valid = (pp > 1e-13) & (pm > 1e-13)
+    best_r2, best_xi = -1.0, 0.0
+    noise = 1e-13
+    flat = valid & (np.abs(delta) <= noise)
+    if flat.any():
+        idx = int(np.argmax(np.where(flat, rp, -1.0)))
+        best_r2, best_xi = float(rp[idx]), float(xi[idx])
+    sign_change = (
+        valid[:-1]
+        & valid[1:]
+        & (delta[:-1] * delta[1:] < 0.0)
+        & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
+    )
+    for i in np.flatnonzero(sign_change):
+        lo, hi = xi[i], xi[i + 1]
+        f_lo = delta[i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            d_mid = arrays(np.array([mid]))[3]
+            if d_mid[0] == 0.0:
+                lo = hi = mid
+                break
+            if (d_mid[0] > 0.0) == (f_lo > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        mid = 0.5 * (lo + hi)
+        r_mid = arrays(np.array([mid]))[2]
+        if r_mid[0] > best_r2:
+            best_r2, best_xi = float(r_mid[0]), float(mid)
+    assert best_r2 >= 0.0
+    return float(np.sqrt(best_r2)), best_xi
+
+
+def test_constrained_optimum_matches_per_bracket_bisection():
+    # all brackets bisected at once give the scalar loop's result bitwise
+    drawn = sample_mixture_params(300, 17)
+    for lam in (0.3, 0.5, 0.7):  # the constrained cells of a 6-point sweep
+        for alpha in np.linspace(0.0, np.pi / 2, 6):
+            for beta in np.linspace(0.0, np.pi, 6)[:3]:
+                drawn.append(MixtureParams(lam=lam, alpha=alpha, beta=beta))
+    for p in drawn:
+        assert conjectures._constrained_optimum(p) == _constrained_optimum_per_bracket(p)
+
+
+def test_sweep_mirror_cells_match_grid_oracle():
+    # the mirror half's circle oracle against the independent 2-D grid oracle
+    rows = sweep_mixture(0.3, 5)
+    mirror = [row for row in rows if row[1] > np.pi / 2 + 1e-12]
+    assert len(mirror) == 10
+    for alpha, beta, _, classical, _ in mirror:
+        state = TwoQubitState(conjectures._mixture_matrix(0.3, alpha, beta))
+        oracle, _ = brute_force_min_entropy(pauli_expansion(state))
+        s_a = von_neumann_entropy(partial_trace(state, "A"))
+        assert classical == pytest.approx(s_a - oracle, abs=1e-9)
 
 
 def test_sweep_mixture_layout_and_mirror():
