@@ -6,14 +6,14 @@ coordinate-descent refinement, evaluated once per state and many thousand
 times in Monte Carlo sweeps.  ``min_entropy_scan`` takes its grid from a
 cache filled on first use per shape, evaluates it with
 ``avg_entropy_numpy`` and refines the best node with ``_refine_python``,
-which evaluates the four coordinate neighbours of each step in one call.
-``avg_entropy_numpy`` works through long direction arrays in fixed blocks
-of rows: the temporaries stay small enough to be reused from the heap
-instead of being mapped afresh, and the small matrix products stay on one
-BLAS thread, which on a 65k-row product would otherwise spin a second
-core for no gain in wall time.  When R ignores the measured qubit's y
-axis the search reduces exactly to the x-z great circle, scanned in numpy
-by ``min_entropy_circle_scan``.
+the one step-halving descent, which also serves the circle and chord
+searches.  ``avg_entropy_numpy`` works through long direction arrays in
+fixed blocks of rows: the temporaries stay small enough to be reused from
+the heap instead of being mapped afresh, and the small matrix products
+stay on one BLAS thread, which on a 65k-row product would otherwise spin
+a second core for no gain in wall time.  When R ignores the measured
+qubit's y axis the search reduces exactly to the x-z great circle,
+scanned in numpy by ``min_entropy_circle_scan``.
 
 A direction n on the unit sphere stands for the projective measurement with
 elements (1 +- n.sigma)/2 on qubit B.  Given the Pauli coefficient matrix R,
@@ -36,7 +36,11 @@ __all__ = [
 ]
 
 P_FLOOR = 1e-14  # outcome probabilities at or below this contribute no entropy
-_CIRCLE_LEVELS = 8  # step halvings probed per call in the circle descent
+_LEVELS = 8  # step halvings probed per call in the descent
+# descent probe offsets along one angle (+ then -, largest first) and, per angle
+# count d, its moves: row i * len(_OFFSETS) + j moves angle i by _OFFSETS[j]
+_OFFSETS = np.outer((1.0, -1.0), 0.5 ** np.arange(_LEVELS)).ravel()
+_MOVES = {d: np.kron(np.eye(d), _OFFSETS[:, np.newaxis]) for d in (1, 2)}
 # Directions per block in avg_entropy_numpy.  A block's temporaries
 # (~0.3 MB) plus the 0.5 MB result of a 181 x 360 grid stay below glibc's
 # heap trim threshold, so warm calls reuse heap pages instead of faulting
@@ -111,47 +115,51 @@ def _avg_entropy_block(r, ns):
     return out
 
 
-def _refine_python(objective, theta, phi, step, tol):
-    """Coordinate descent with step halving from (theta, phi).
+def _refine_python(objective, start, value, step, tol):
+    """Step-halving coordinate descent over d = 1 or 2 angles from ``start``.
 
-    ``objective(thetas, phis)`` maps equal-length angle arrays to values.
-    Each step evaluates the four neighbours theta +- step and phi +- step
-    in one call and moves to the best of them if it improves on the
-    current value, else halves the step, until the step drops below
-    ``tol``.  Returns ``(best, theta, phi)``.
+    ``objective`` maps an (m, d) array of angle rows to m values; ``value``
+    is its value at ``start``.  Each objective call probes +- s / 2**j for
+    j < _LEVELS along every coordinate, s being that coordinate's step
+    (``step`` at first).  A move to the best probe, if it improves, sets
+    its coordinate's step to the scale that improved and raises smaller
+    steps to it, so the others can follow a valley oblique to the axes;
+    else all steps shrink by 2**-_LEVELS.  Stops once every step is below
+    ``tol`` (> 0).  Returns ``(value, point)``, never above the start.
     """
-    best = float(objective(np.array([theta]), np.array([phi]))[0])
-    d_theta = np.array([1.0, -1.0, 0.0, 0.0])
-    d_phi = np.array([0.0, 0.0, 1.0, -1.0])
-    for _ in range(100000):
-        if step < tol:
-            break
-        thetas = theta + step * d_theta
-        phis = phi + step * d_phi
-        vals = objective(thetas, phis)
+    if not tol > 0.0:
+        raise ValueError(f"refine tolerance must be positive, got {tol!r}")
+    value, point = float(value), np.array(start, dtype=np.float64, ndmin=1)
+    moves = _MOVES[len(point)]
+    steps = [float(step)] * len(point)
+    while max(steps) >= tol:
+        cand = point + moves * steps
+        vals = objective(cand)
         k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = float(vals[k])
-            theta, phi = float(thetas[k]), float(phis[k])
+        if vals[k] < value:
+            value, point = float(vals[k]), cand[k]
+            axis, j = divmod(k, len(_OFFSETS))
+            scale = steps[axis] * abs(_OFFSETS[j])
+            steps = [max(s, scale) for s in steps]
+            steps[axis] = scale
         else:
-            step *= 0.5
-    return best, theta, phi
+            steps = [s * 0.5**_LEVELS for s in steps]
+    return value, point
 
 
 def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     """Minimum average post-measurement entropy over the direction sphere.
 
     Scans an (n_polar x n_azimuth) hemisphere grid, then refines from the
-    best node by coordinate descent with step halving until the step drops
-    below ``refine_tol`` radians.  The result is never above the best grid
-    node.  Returns ``(value, theta, phi)``.
+    best node by ``_refine_python`` over (theta, phi) until the step drops
+    below ``refine_tol`` radians (> 0).  The result is never above the
+    best grid node.  Returns ``(value, theta, phi)``.
 
     The grid comes from a cache filled on the first call per shape and is
-    evaluated in blocks of rows (see ``avg_entropy_numpy``); each descent
-    step evaluates its four candidates in one call.  A warm call on the
-    181 x 360 default grid takes ~15 ms on one core of a 2-core x86-64 VM
-    (Python 3.11, numpy 2.4, OpenBLAS 0.3.31): ~12.5 ms of grid
-    evaluation and ~2.5 ms of descent in ~28 evaluation calls.
+    evaluated in blocks of rows (see ``avg_entropy_numpy``).  A warm call
+    on the 181 x 360 default grid takes ~15 ms on one core of a 2-core
+    x86-64 VM (Python 3.11, numpy 2.4, OpenBLAS 0.3.31): ~13 ms of grid
+    evaluation and ~1.5 ms of descent in ~13 calls of 32 directions.
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     if r.shape != (4, 4):
@@ -162,16 +170,12 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     vals = avg_entropy_numpy(r, ns)
     k = int(np.argmin(vals))
 
-    def objective(thetas, phis):
-        return avg_entropy_numpy(r, _directions(thetas, phis))
+    def objective(angles):
+        return avg_entropy_numpy(r, _directions(angles[:, 0], angles[:, 1]))
 
     step = max(0.5 * np.pi / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    best, theta, phi = _refine_python(objective, tt[k], pp[k], step, refine_tol)
-    return min(best, float(vals[k])), theta, phi
-
-
-def _circle_directions(xi):
-    return np.column_stack((np.sin(xi), np.zeros_like(xi), np.cos(xi)))
+    best, (theta, phi) = _refine_python(objective, (tt[k], pp[k]), vals[k], step, refine_tol)
+    return best, float(theta), float(phi)
 
 
 def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
@@ -181,12 +185,11 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     antipodal directions give the same measurement.  The scan visits the
     2 (n_polar - 1) nodes of an (n_polar x n_azimuth) hemisphere grid that
     lie on this circle (azimuth 0 and, through the origin, azimuth pi), so
-    the azimuth count does not enter.  The best node is refined by
-    step-halving descent until the step drops below ``refine_tol``
-    radians; each numpy call probes xi +- step / 2**j for the next
-    several halvings j at once.  The result is never above the best
-    node.  Returns ``(value, xi)`` with xi folded into [-pi/2, pi/2), so
-    that n3 >= 0 as on the hemisphere grid.
+    the azimuth count does not enter.  ``_refine_python`` refines the
+    best node over xi until the step drops below ``refine_tol`` radians
+    (> 0), probing xi +- step / 2**j for eight halvings j per numpy call.
+    The result is never above the best node.  Returns ``(value, xi)`` with
+    xi folded into [-pi/2, pi/2), so that n3 >= 0 as on the hemisphere grid.
 
     This is the global minimum over the whole sphere only when column 2
     of ``r`` vanishes (the measured qubit's y axis does not enter);
@@ -199,19 +202,11 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
         raise ValueError("grid must have at least 2 polar nodes")
     d_xi = 0.5 * np.pi / (n_polar - 1)
     nodes = np.arange(2 * (n_polar - 1)) * d_xi
-    vals = avg_entropy_numpy(r, _circle_directions(nodes))
+    vals = avg_entropy_numpy(r, _directions(nodes, 0.0))
     k = int(np.argmin(vals))
-    best, xi = float(vals[k]), float(nodes[k])
-    scales = 0.5 ** np.arange(_CIRCLE_LEVELS)
-    offsets = np.concatenate((scales, -scales))
-    step = d_xi
-    while step >= refine_tol:
-        cand = xi + step * offsets
-        vals = avg_entropy_numpy(r, _circle_directions(cand))
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best, xi = float(vals[k]), float(cand[k])
-            step *= abs(offsets[k])  # carry on from the scale that improved
-        else:
-            step *= 0.5**_CIRCLE_LEVELS
-    return best, (xi + 0.5 * np.pi) % np.pi - 0.5 * np.pi
+
+    def objective(angles):
+        return avg_entropy_numpy(r, _directions(angles[:, 0], 0.0))
+
+    best, (xi,) = _refine_python(objective, nodes[k], vals[k], d_xi, refine_tol)
+    return best, (float(xi) + 0.5 * np.pi) % np.pi - 0.5 * np.pi

@@ -361,15 +361,18 @@ def _constrained_optimum(p):
         & (delta[:-1] * delta[1:] < 0.0)
         & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
     )
-    # bisect all brackets at once; an exact root sets lo = hi = mid for good
+    # bisect all brackets at once until a step moves none; an exact root sets lo = hi = mid
     i = np.flatnonzero(sign_change)
     lo, hi, lo_positive = xi[i], xi[i + 1], delta[i] > 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         d_mid = arrays(mid)[4]
         same_sign = (d_mid > 0.0) == lo_positive
-        lo = np.where((d_mid == 0.0) | same_sign, mid, lo)
-        hi = np.where((d_mid == 0.0) | ~same_sign, mid, hi)
+        new_lo = np.where((d_mid == 0.0) | same_sign, mid, lo)
+        new_hi = np.where((d_mid == 0.0) | ~same_sign, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     mid = 0.5 * (lo + hi)
     # first largest |y+|^2 over the flat roots, then the brackets in order
     r_mid = np.nan_to_num(arrays(mid)[2], nan=-1.0)
@@ -589,6 +592,7 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
     the chord point + s d with surface intersections s- < 0 < s+, weights
     p+ = -s_- / (s_+ - s_-).  Used to probe the sliding invariance of
     Class I states at points that are not Bloch vectors of any marginal.
+    Refines the best grid direction by ``_refine_python`` to ``refine_tol`` > 0.
     """
     if isinstance(ellipsoid, SteeringEllipsoid):
         if ellipsoid.degeneracy != "full":
@@ -627,15 +631,15 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
         ) * _entropy_of_norms(np.minimum(y_minus, 1.0))
         return out
 
-    def value_at(thetas, phis):
-        return chord_values(_directions(thetas, phis))
+    def value_at(angles):
+        return chord_values(_directions(angles[:, 0], angles[:, 1]))
 
     tt, pp, ds = _cached_grid(n_polar, n_azimuth)
     vals = chord_values(ds)
     k = int(np.argmin(vals))
     step = max(np.pi / 2 / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    refined, _, _ = _refine_python(value_at, tt[k], pp[k], step, refine_tol)
-    return float(min(vals[k], refined))
+    refined, _ = _refine_python(value_at, (tt[k], pp[k]), vals[k], step, refine_tol)
+    return refined
 
 
 def offaxis_reference_state():

@@ -205,6 +205,8 @@ def test_ensemble_at_near_zero_outcome_probability():
 def test_gap_survey_validation():
     with pytest.raises(ValueError, match="sample"):
         conjectures.test_equi_entropy_conjecture(samples=0, seed=1)
+    with pytest.raises(ValueError, match="tolerance"):
+        conjectures.test_equi_entropy_conjecture(samples=1, seed=1, refine_tol=0)
 
 
 def test_mixture_correlations_frozen_case():
@@ -305,6 +307,23 @@ def test_constrained_optimum_matches_per_bracket_bisection():
                 drawn.append(MixtureParams(lam=lam, alpha=alpha, beta=beta))
     for p in drawn:
         assert conjectures._constrained_optimum(p) == _constrained_optimum_per_bracket(p)
+
+
+def test_constrained_optimum_stops_when_no_bracket_moves(monkeypatch):
+    # 80 bisection steps plus the scan and the final midpoints make 82 calls;
+    # brackets stop moving once lo and hi are adjacent floats
+    calls = []
+    outcomes = conjectures._mixture_outcomes
+
+    def counting(p, x1, x3):
+        calls[-1] += 1
+        return outcomes(p, x1, x3)
+
+    monkeypatch.setattr(conjectures, "_mixture_outcomes", counting)
+    for p in sample_mixture_params(300, 17):
+        calls.append(0)
+        conjectures._constrained_optimum(p)
+    assert max(calls) < 82
 
 
 def test_sweep_mirror_cells_match_grid_oracle():

@@ -71,6 +71,9 @@ def test_circle_scan_visits_grid_nodes_on_circle(rng):
         _kernels.min_entropy_circle_scan(np.eye(3), 7)
     with pytest.raises(ValueError, match="grid"):
         _kernels.min_entropy_circle_scan(np.eye(4), 1)
+    for tol in (0.0, -1e-6, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            _kernels.min_entropy_circle_scan(r, 7, tol)
 
 
 def test_min_entropy_scan_validation():
@@ -78,17 +81,21 @@ def test_min_entropy_scan_validation():
         _kernels.min_entropy_scan(np.eye(3), 31, 60)
     with pytest.raises(ValueError, match="grid"):
         _kernels.min_entropy_scan(np.eye(4), 1, 60)
+    for tol in (0.0, -1e-6, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            _kernels.min_entropy_scan(np.eye(4), 7, 12, tol)
 
 
-def test_refine_descends_from_start():
-    # a convex toy objective: descent must reach the minimum at (1, 2)
-    def objective(theta, phi):
-        return (theta - 1.0) ** 2 + (phi - 2.0) ** 2
+@pytest.mark.parametrize("target", [(1.0,), (1.0, 2.0)], ids=["1-D", "2-D"])
+def test_refine_descends_from_start(target):
+    # a convex toy objective: descent must reach its minimum at ``target``
+    def objective(angles):
+        return ((angles - target) ** 2).sum(axis=1)
 
-    best, theta, phi = _kernels._refine_python(objective, 0.0, 0.0, 0.5, 1e-9)
+    start = np.zeros(len(target))
+    best, point = _kernels._refine_python(objective, start, np.dot(target, target), 0.5, 1e-9)
     assert best == pytest.approx(0.0, abs=1e-12)
-    assert theta == pytest.approx(1.0, abs=1e-6)
-    assert phi == pytest.approx(2.0, abs=1e-6)
+    np.testing.assert_allclose(point, target, rtol=0.0, atol=1e-6)
 
 
 
