@@ -5,14 +5,17 @@
 
 Run from the repository root.  ``--parent`` is the commit to compare
 against: ``HEAD`` while the change is uncommitted, ``HEAD~1`` or a hash
-once it is committed.  The parent's committed files are extracted
-with ``git archive`` into a temporary directory, which is deleted at the
-end.  For each ``workload=pairs`` argument the script makes that many
-pairs of ``perfbench/run.py`` runs, one on the parent and one on the
-working tree, at BENCHMARK.json's ``run_seconds`` and ``--trace 0``.  Pair
-k uses seed ``FIRST_SEED + k`` on both sides, and the side that runs
-first alternates from pair to pair, so that a drift in host speed falls
-on both sides alike.  Each side runs its own ``perfbench/`` against its
+once it is committed.  Both sides run from fresh temporary directories,
+deleted at the end, so that neither has the checkout's caches or build
+leftovers: the parent's committed files are extracted with ``git
+archive``, and the working tree's committable files (tracked or not
+ignored, as ``git ls-files --cached --others --exclude-standard`` lists
+them, less deleted ones) are copied.  For each ``workload=pairs``
+argument the script makes that many pairs of ``perfbench/run.py`` runs,
+one on the parent and one on the working tree, at BENCHMARK.json's
+``run_seconds`` and ``--trace 0``.  Pair k uses seed ``FIRST_SEED + k``
+on both sides, and the side that runs first alternates from pair to
+pair, so that a drift in host speed falls on both sides alike.  Each side runs its own ``perfbench/`` against its
 own ``src/``.
 
 The output JSON holds every run's result, each side's median and
@@ -50,6 +53,16 @@ def extract(rev, dest):
         ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_worktree(dest):
+    """The working tree's committable files, edits included, under ``dest``."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in listed.split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def machine():
@@ -137,10 +150,11 @@ def main(argv=None):
         "machine": machine(),
         "workloads": {},
     }
-    scratch = Path(tempfile.mkdtemp(prefix="discordlab-parent-"))
+    trees = {side: Path(tempfile.mkdtemp(prefix=f"discordlab-{side}-"))
+             for side in ("parent", "change")}
     try:
-        extract(parent_rev, scratch)
-        trees = {"parent": scratch, "change": ROOT}
+        extract(parent_rev, trees["parent"])
+        copy_worktree(trees["change"])
         for name, count in plan:
             runs = []
             for k in range(count):
@@ -167,7 +181,8 @@ def main(argv=None):
             }
             Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .conjectures import (
 )
 from .conjectures import test_equi_entropy_conjecture as _run_gap_survey
 from .discord import (
+    BRANCH_NUMERIC,
     DEFAULT_GRID,
     UnsupportedStructureError,
     correlation_report,
@@ -50,7 +50,6 @@ from .qstate import (
     make_bell_diagonal,
     make_x_state,
     pauli_expansion,
-    swap_parties,
 )
 from .steering import (
     NotAnEllipsoidError,
@@ -60,7 +59,6 @@ from .steering import (
 )
 
 __all__ = [
-    "RunConfig",
     "StateLoadError",
     "load_state",
     "dump_state",
@@ -68,40 +66,12 @@ __all__ = [
     "main",
 ]
 
-_COMMANDS = (
-    "compute",
-    "ellipsoid",
-    "dynamics",
-    "conjecture-mixture",
-    "conjecture-general-r",
-    "sweep-mixture",
-)
 _STATE_KEYS = ("matrix", "xstate", "bell_diagonal", "mixture")
 VERIFY_TOL = 1e-5
 
 
 class StateLoadError(ValueError):
     """State file or inline spec does not match the input schema."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, normalized from argv."""
-
-    command: str
-    argv: tuple
-    state_source: str = None
-    seed: int = None
-    threads: int = 1
-    grid: tuple = None
-    out: str = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
 
 
 def _parse_grid(text):
@@ -229,11 +199,11 @@ def _jsonable(obj):
     return obj
 
 
-def _provenance(config):
+def _provenance(args):
     return {
         "version": __version__,
-        "command": " ".join(config.argv),
-        "seed": config.seed,
+        "command": " ".join(args.argv),
+        "seed": args.seed,
     }
 
 
@@ -245,22 +215,22 @@ def _emit(text, out):
         handle.write(text)
 
 
-def _summary(line, config):
+def _summary(line, args):
     # keep stdout clean CSV when no --out was given
-    print(line, file=sys.stdout if config.out is not None else sys.stderr)
+    print(line, file=sys.stdout if args.out is not None else sys.stderr)
 
 
-def _emit_json(payload, config):
-    body = {"provenance": _provenance(config)}
+def _emit_json(payload, args):
+    body = {"provenance": _provenance(args)}
     body.update(_jsonable(payload))
-    _emit(json.dumps(body, indent=2) + "\n", config.out)
+    _emit(json.dumps(body, indent=2) + "\n", args.out)
 
 
-def _csv_text(config, columns, rows, comments=()):
-    seed = "none" if config.seed is None else str(config.seed)
+def _csv_text(args, columns, rows, comments=()):
+    seed = "none" if args.seed is None else str(args.seed)
     lines = [
         f"# discordlab {__version__}",
-        f"# command: {' '.join(config.argv)}",
+        f"# command: {' '.join(args.argv)}",
         f"# seed: {seed}",
     ]
     lines.extend(f"# {comment}" for comment in comments)
@@ -295,43 +265,45 @@ def _report_payload(report):
     }
 
 
-def _cmd_compute(config):
-    state = load_state(config.state_source)
-    direction = config.extra["direction"]
-    method = config.extra["method"]
+def _cmd_compute(args):
+    state = load_state(args.state)
     report = correlation_report(
-        state, direction=direction, method=method, grid=config.grid
+        state, direction=args.direction, method=args.method, grid=args.grid
     )
-    payload = {"direction": direction.replace("-", "_"), "method": method}
+    payload = {"direction": args.direction.replace("-", "_"), "method": args.method}
     payload.update(_report_payload(report))
     status = 0
-    if config.extra["verify"]:
-        work = state if direction.replace("-", "_") == "b_to_a" else swap_parties(state)
-        if extract_x_params(work) is not None:
-            analytic = correlation_report(state, direction=direction, method="analytic")
+    if args.verify:
+        # the report already holds one side; only the other is computed
+        if report.branch == BRANCH_NUMERIC:
+            numeric = report.min_avg_entropy
+            try:
+                analytic = correlation_report(
+                    state, direction=args.direction, method="analytic"
+                ).min_avg_entropy
+            except UnsupportedStructureError:
+                analytic = None
+        else:
+            analytic = report.min_avg_entropy
             numeric = correlation_report(
-                state, direction=direction, method="numeric", grid=config.grid
-            )
-            difference = abs(analytic.min_avg_entropy - numeric.min_avg_entropy)
-            payload["verify"] = {
-                "analytic": analytic.min_avg_entropy,
-                "numeric": numeric.min_avg_entropy,
-                "difference": difference,
-            }
+                state, direction=args.direction, method="numeric", grid=args.grid
+            ).min_avg_entropy
+        payload["verify"] = {"analytic": analytic, "numeric": numeric}
+        if analytic is not None:
+            difference = abs(analytic - numeric)
+            payload["verify"]["difference"] = difference
             if difference > VERIFY_TOL:
                 print(
                     f"verify failed: analytic and numeric differ by {difference:.3e}",
                     file=sys.stderr,
                 )
                 status = 4
-        else:
-            payload["verify"] = {"analytic": None, "numeric": report.min_avg_entropy}
-    _emit_json(payload, config)
+    _emit_json(payload, args)
     return status
 
 
-def _cmd_ellipsoid(config):
-    state = load_state(config.state_source)
+def _cmd_ellipsoid(args):
+    state = load_state(args.state)
     ellipsoid = steering_ellipsoid(state)
     payload = {
         "center": ellipsoid.center,
@@ -340,7 +312,7 @@ def _cmd_ellipsoid(config):
         "degeneracy": ellipsoid.degeneracy,
         "det_R": pauli_expansion(state).det,
     }
-    _emit_json(payload, config)
+    _emit_json(payload, args)
     return 0
 
 
@@ -352,16 +324,16 @@ def _trajectory_axes(state):
     return tuple(steering_ellipsoid(state).semi_axes)
 
 
-def _cmd_dynamics(config):
-    state = load_state(config.state_source)
+def _cmd_dynamics(args):
+    state = load_state(args.state)
     trajectory = evolve_trajectory(
         state,
-        rate=config.extra["rate"],
-        t_max=config.extra["t_max"],
-        steps=config.extra["steps"],
-        channel=config.extra["channel"],
-        fast=config.extra["fast"],
-        grid=config.grid,
+        rate=args.rate,
+        t_max=args.t_max,
+        steps=args.steps,
+        channel=args.channel,
+        fast=args.fast,
+        grid=args.grid,
     )
     t_bar = trajectory.critical_time
     t_bar_text = "none" if t_bar is None else repr(float(t_bar))
@@ -384,22 +356,19 @@ def _cmd_dynamics(config):
             )
         )
     text = _csv_text(
-        config,
+        args,
         ("t", "gamma", "I", "C", "Q", "branch", "l1", "l2", "l3"),
         rows,
         comments=(f"t_bar={t_bar_text}",),
     )
-    _emit(text, config.out)
-    _summary(f"t_bar={t_bar_text}", config)
+    _emit(text, args.out)
+    _summary(f"t_bar={t_bar_text}", args)
     return 0
 
 
-def _cmd_conjecture_mixture(config):
+def _cmd_conjecture_mixture(args):
     run = _run_gap_survey(
-        samples=config.extra["samples"],
-        seed=config.seed,
-        grid=config.grid or DEFAULT_GRID,
-        threads=config.threads,
+        samples=args.samples, seed=args.seed, grid=args.grid, threads=args.threads
     )
     rows = []
     for sample in run.samples:
@@ -417,7 +386,7 @@ def _cmd_conjecture_mixture(config):
             )
         )
     text = _csv_text(
-        config,
+        args,
         ("lambda", "alpha", "beta", "n1", "n2", "n3", "gap", "min_entropy"),
         rows,
         comments=(
@@ -425,10 +394,9 @@ def _cmd_conjecture_mixture(config):
             f"fraction_gap_le_1e-6={run.fraction_tiny!r}",
         ),
     )
-    _emit(text, config.out)
-    _summary(f"max_gap={run.max_gap!r} fraction_le_1e-6={run.fraction_tiny!r}", config)
-    threshold = config.extra["fail_above"]
-    if run.max_gap > threshold:
+    _emit(text, args.out)
+    _summary(f"max_gap={run.max_gap!r} fraction_le_1e-6={run.fraction_tiny!r}", args)
+    if run.max_gap > args.fail_above:
         worst = max(run.samples, key=lambda s: s.gap)
         print(
             "conjecture violation: gap "
@@ -440,15 +408,14 @@ def _cmd_conjecture_mixture(config):
     return 0
 
 
-def _cmd_conjecture_general_r(config):
-    params_list = sample_general_r_params(config.extra["samples"], config.seed)
-    kwargs = {
-        "grid": config.grid or DEFAULT_GRID,
-        "chord_tol": config.extra["chord_tol"],
-        "gap_tol": config.extra["gap_tol"],
-    }
+def _cmd_conjecture_general_r(args):
+    params_list = sample_general_r_params(args.samples, args.seed)
     classified = _parallel_map(
-        lambda p: classify_optimal_line(p, **kwargs), params_list, config.threads
+        lambda p: classify_optimal_line(
+            p, grid=args.grid, chord_tol=args.chord_tol, gap_tol=args.gap_tol
+        ),
+        params_list,
+        args.threads,
     )
     rows = []
     for item in classified:
@@ -473,7 +440,7 @@ def _cmd_conjecture_general_r(config):
         )
     count_one = sum(1 for item in classified if item.label == "I")
     text = _csv_text(
-        config,
+        args,
         (
             "r1",
             "r3",
@@ -493,25 +460,22 @@ def _cmd_conjecture_general_r(config):
         rows,
         comments=(f"class_I={count_one}", f"class_II={len(classified) - count_one}"),
     )
-    _emit(text, config.out)
-    _summary(f"class_I={count_one} class_II={len(classified) - count_one}", config)
+    _emit(text, args.out)
+    _summary(f"class_I={count_one} class_II={len(classified) - count_one}", args)
     return 0
 
 
-def _cmd_sweep_mixture(config):
+def _cmd_sweep_mixture(args):
     rows = sweep_mixture(
-        config.extra["lam"],
-        config.extra["grid_points"],
-        oracle_grid=config.grid or DEFAULT_GRID,
-        threads=config.threads,
+        args.lam, args.grid_points, oracle_grid=args.oracle_grid, threads=args.threads
     )
     text = _csv_text(
-        config,
+        args,
         ("alpha", "beta", "I", "C", "Q"),
         rows,
-        comments=(f"lambda={config.extra['lam']!r}",),
+        comments=(f"lambda={args.lam!r}",),
     )
-    _emit(text, config.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -623,63 +587,21 @@ def _build_parser():
 
 
 def _resolve_threads(value):
-    if value is not None:
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {value!r}")
-        return value
-    env = os.environ.get("DISCORDLAB_THREADS", "").strip()
-    if env:
+    source = "--threads"
+    if value is None:
+        env = os.environ.get("DISCORDLAB_THREADS", "").strip()
+        if not env:
+            return 1
+        source = "DISCORDLAB_THREADS"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"DISCORDLAB_THREADS must be an integer, got {env!r}"
             ) from None
-    return 1
-
-
-def _config_from_args(args, argv):
-    command = args.command
-    if command in ("conjecture", "sweep"):
-        command = f"{command}-{args.family}"
-    extra = {}
-    grid = getattr(args, "grid", None)
-    out = getattr(args, "out", None)
-    if command == "compute":
-        extra = {
-            "direction": args.direction,
-            "method": args.method,
-            "verify": args.verify,
-        }
-    elif command == "dynamics":
-        extra = {
-            "rate": args.rate,
-            "t_max": args.t_max,
-            "steps": args.steps,
-            "channel": args.channel,
-            "fast": args.fast,
-        }
-    elif command == "conjecture-mixture":
-        extra = {"samples": args.samples, "fail_above": args.fail_above}
-    elif command == "conjecture-general-r":
-        extra = {
-            "samples": args.samples,
-            "chord_tol": args.chord_tol,
-            "gap_tol": args.gap_tol,
-        }
-    elif command == "sweep-mixture":
-        extra = {"lam": args.lam, "grid_points": args.grid_points}
-        grid = args.oracle_grid
-    return RunConfig(
-        command=command,
-        argv=tuple(argv),
-        state_source=getattr(args, "state", None),
-        seed=getattr(args, "seed", None),
-        threads=_resolve_threads(getattr(args, "threads", None)),
-        grid=grid,
-        out=out,
-        extra=extra,
-    )
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{source} must be >= 1, got {value!r}")
+    return value
 
 
 def parse_and_dispatch(argv):
@@ -687,14 +609,18 @@ def parse_and_dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args, argv)
+        args.threads = _resolve_threads(getattr(args, "threads", None))
     except SystemExit as exc:
         return int(exc.code or 0)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command in ("conjecture", "sweep"):
+        args.command = f"{args.command}-{args.family}"
+    args.argv = argv
+    args.seed = getattr(args, "seed", None)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except ConjectureViolationError as exc:
         print(f"conjecture violation: {exc}", file=sys.stderr)
         return 4

@@ -83,6 +83,7 @@ __all__ = [
 GAP_TOL = 1e-6  # equi-entropy gap below this counts as zero
 CHORD_TOL = 1e-6  # relative y3 component below this counts as horizontal
 _XI_GRID = 4096  # scan resolution for the constrained maximizer
+_MAX_TRIES = 100000  # rejection draws allowed per general-R sample
 
 
 class ConjectureViolationError(RuntimeError):
@@ -423,20 +424,20 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     )
 
 
-def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1, beta_max=np.pi):
+def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     """Correlations on a (alpha, beta) grid at fixed mixing weight.
 
     Returns rows (alpha, beta, I, C, Q) in row-major alpha-then-beta
     order, suitable for surface plots.  alpha runs over [0, pi/2]; beta
-    runs over [0, beta_max], by default the full [0, pi] so reflection
-    symmetry about beta = pi/2 is visible in the surface.  Cells with
-    beta <= pi/2 go through the constrained maximizer; the mirror half
-    uses the exact circle oracle directly, which does not assume the
-    conjecture, so the two halves agreeing is a cross-check, not a
-    construction.  ``oracle_grid`` is read for its polar count only.
+    runs over the full [0, pi] so reflection symmetry about beta = pi/2
+    is visible in the surface.  Cells with beta <= pi/2 go through the
+    constrained maximizer; the mirror half uses the exact circle oracle
+    directly, which does not assume the conjecture, so the two halves
+    agreeing is a cross-check, not a construction.  ``oracle_grid`` is
+    read for its polar count only.
     """
     alphas = np.linspace(0.0, np.pi / 2, grid_points)
-    betas = np.linspace(0.0, beta_max, grid_points)
+    betas = np.linspace(0.0, np.pi, grid_points)
     cells = [(a, b) for a in alphas for b in betas]
 
     def one(cell):
@@ -494,7 +495,7 @@ def make_general_r_state(p):
     return reconstruct_state(general_r_matrix(p))
 
 
-def sample_general_r_params(count, seed, max_tries=100000):
+def sample_general_r_params(count, seed):
     """Rejection-sample valid template states, free entries uniform in [-1, 1].
 
     Rejection criteria: near-zero s1 or t13, a singular R, or a
@@ -507,7 +508,7 @@ def sample_general_r_params(count, seed, max_tries=100000):
     out = []
     for child in children:
         rng = np.random.default_rng(child)
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             r1, r3, s1, s3, t13, t22, t31 = rng.uniform(-1.0, 1.0, size=7)
             if abs(s1) < 1e-3 or abs(t13) < 1e-3:
                 continue
@@ -523,7 +524,7 @@ def sample_general_r_params(count, seed, max_tries=100000):
             out.append(params)
             break
         else:
-            raise RuntimeError(f"no valid template state found in {max_tries} draws")
+            raise RuntimeError(f"no valid template state found in {_MAX_TRIES} draws")
     return out
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discord import (
+    DEFAULT_GRID,
     TIE_TOL,
     _equi_entropy_value,
     _quasi_eigen_value,
@@ -226,7 +227,7 @@ def _strength_at(name, rate, t):
 
 
 def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=False,
-                      grid=None):
+                      grid=DEFAULT_GRID):
     """Correlation trajectory of ``rho0`` under a named two-sided channel.
 
     Each step applies the channel to the initial state with the
@@ -243,14 +244,13 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=Fa
     times = np.linspace(0.0, float(t_max), int(steps))
     gammas = np.exp(-rate * times)
     method = "analytic" if fast else "auto"
-    kwargs = {} if grid is None else {"grid": grid}
 
     states = []
     reports = []
     for t in times:
         state = apply_named_channel(rho0, channel, _strength_at(channel, rate, t))
         states.append(state)
-        reports.append(correlation_report(state, method=method, **kwargs))
+        reports.append(correlation_report(state, method=method, grid=grid))
 
     t_bar = None
     params = extract_x_params(rho0)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from conftest import ginibre_state
 
-from discordlab import __version__, cli, conjectures
+from discordlab import __version__, cli, conjectures, discord
 from discordlab.cli import (
-    RunConfig,
     StateLoadError,
     dump_state,
     load_state,
@@ -74,13 +73,6 @@ def test_dump_load_round_trip(rng):
     assert np.array_equal(reloaded.matrix, state.matrix)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError, match="command"):
-        RunConfig(command="bogus", argv=())
-    with pytest.raises(ValueError, match="threads"):
-        RunConfig(command="compute", argv=(), threads=0)
-
-
 # ---- exit codes ----------------------------------------------------------
 
 
@@ -103,10 +95,15 @@ def test_exit_two_on_flag_errors(capsys):
     assert run(capsys, ["nonsense"])[0] == 2
 
 
-def test_exit_two_on_threads_below_one(capsys):
+def test_exit_two_on_threads_below_one(capsys, monkeypatch):
     code, _, err = run(capsys, ["compute", "--state", X_SPEC, "--threads", "0"])
     assert code == 2
     assert "threads" in err
+    # the environment default gets the same check as the flag
+    monkeypatch.setenv("DISCORDLAB_THREADS", "0")
+    code, _, err = run(capsys, ["conjecture", "mixture", "--samples", "1"])
+    assert code == 2
+    assert err == "error: DISCORDLAB_THREADS must be >= 1, got 0\n"
 
 
 def test_exit_three_on_state_errors(capsys):
@@ -181,6 +178,21 @@ def test_compute_verify_block(capsys):
     verify = json.loads(out)["verify"]
     assert verify["difference"] <= 1e-5
     assert verify["analytic"] == pytest.approx(verify["numeric"], abs=1e-5)
+
+
+@pytest.mark.parametrize("method", ["auto", "numeric"])
+def test_compute_verify_runs_the_oracle_once(capsys, monkeypatch, method):
+    # --verify reuses the report's own side and computes only the other
+    calls = []
+    scan = discord.min_entropy_scan
+    monkeypatch.setattr(
+        discord, "min_entropy_scan", lambda *a: calls.append(a) or scan(*a)
+    )
+    argv = ["compute", "--state", X_SPEC, "--method", method, "--verify"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["verify"]["difference"] <= 1e-5
+    assert len(calls) == 1
 
 
 def test_compute_verify_non_x_reports_numeric_only(capsys):
