@@ -7,13 +7,21 @@ times in Monte Carlo sweeps.  ``min_entropy_scan`` takes its grid from a
 cache filled on first use per shape, evaluates it with
 ``avg_entropy_numpy`` and refines the best node with ``_refine_python``,
 the one step-halving descent, which also serves the circle and chord
-searches.  ``avg_entropy_numpy`` works through long direction arrays in
-fixed blocks of rows: the temporaries stay small enough to be reused from
-the heap instead of being mapped afresh, and the small matrix products
-stay on one BLAS thread, which on a 65k-row product would otherwise spin
-a second core for no gain in wall time.  When R ignores the measured
-qubit's y axis the search reduces exactly to the x-z great circle,
-scanned in numpy by ``min_entropy_circle_scan``.
+searches; it descends from rows of starting points, one per state, each
+with its own value, point and steps.  ``avg_entropy_numpy`` works through
+long direction arrays in fixed blocks of rows: the temporaries stay small
+enough to be reused from the heap instead of being mapped afresh, and the
+small matrix products stay on one BLAS thread, which on a 65k-row product
+would otherwise spin a second core for no gain in wall time.  Those
+products round a 1-row call (gemv) differently from a multi-row one
+(gemm), so its values depend on the call's shape in the last digits.
+
+When R ignores the measured qubit's y axis the search reduces exactly to
+the x-z great circle, scanned by ``min_entropy_circle_scan`` for one R or
+an (N, 4, 4) stack: every state's nodes in one array operation, then one
+descent over the states still moving.  It sums b.n, T n and |w+-| element
+by element (``_circle_entropy``), with no matrix product, so a state's
+result is bitwise the same alone, in any stack and in any chunk of one.
 
 A direction n on the unit sphere stands for the projective measurement with
 elements (1 +- n.sigma)/2 on qubit B.  Given the Pauli coefficient matrix R,
@@ -41,6 +49,8 @@ _LEVELS = 8  # step halvings probed per call in the descent
 # count d, its moves: row i * len(_OFFSETS) + j moves angle i by _OFFSETS[j]
 _OFFSETS = np.outer((1.0, -1.0), 0.5 ** np.arange(_LEVELS)).ravel()
 _MOVES = {d: np.kron(np.eye(d), _OFFSETS[:, np.newaxis]) for d in (1, 2)}
+_SCALES = np.abs(_OFFSETS)
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcomes + and - along a leading axis
 # Directions per block in avg_entropy_numpy.  A block's temporaries
 # (~0.3 MB) plus the 0.5 MB result of a 181 x 360 grid stay below glibc's
 # heap trim threshold, so warm calls reuse heap pages instead of faulting
@@ -81,10 +91,7 @@ def _entropy_of_norms(x):
     """Binary entropy h(x) in bits of each Bloch-vector norm x in [0, 1]."""
     hp = 0.5 * (1.0 + x)
     hq = 1.0 - hp
-    h = -hp * np.log2(hp)
-    nz = hq > 0.0
-    h[nz] -= hq[nz] * np.log2(hq[nz])
-    return h
+    return -hp * np.log2(hp) - hq * np.log2(np.where(hq > 0.0, hq, 1.0))
 
 
 def avg_entropy_numpy(r, ns):
@@ -116,35 +123,49 @@ def _avg_entropy_block(r, ns):
 
 
 def _refine_python(objective, start, value, step, tol):
-    """Step-halving coordinate descent over d = 1 or 2 angles from ``start``.
+    """Step-halving coordinate descent over d = 1 or 2 angles, one row per state.
 
-    ``objective`` maps an (m, d) array of angle rows to m values; ``value``
-    is its value at ``start``.  Each objective call probes +- s / 2**j for
-    j < _LEVELS along every coordinate, s being that coordinate's step
-    (``step`` at first).  A move to the best probe, if it improves, sets
-    its coordinate's step to the scale that improved and raises smaller
+    ``start`` is an (S, d) array with one row of starting angles per state
+    and ``value`` the S objective values there.  ``objective(rows, angles)``
+    maps the indices of the states still descending and their
+    (len(rows), m, d) probe angles to (len(rows), m) values.  Each state
+    descends on its own, with a step per angle (``step`` at first): each
+    objective call probes +- s / 2**j for j < _LEVELS along every angle, s
+    being that angle's step.  A move to the best probe, if it improves,
+    sets its angle's step to the scale that improved and raises smaller
     steps to it, so the others can follow a valley oblique to the axes;
-    else all steps shrink by 2**-_LEVELS.  Stops once every step is below
-    ``tol`` (> 0).  Returns ``(value, point)``, never above the start.
+    else all steps shrink by 2**-_LEVELS.  A state stops once every step is
+    below ``tol`` (> 0).  Returns ``(values, points)``, shaped like
+    ``value`` and ``start``, never above the start; a state's result does
+    not depend on the other rows as long as the objective's values do not.
     """
     if not tol > 0.0:
         raise ValueError(f"refine tolerance must be positive, got {tol!r}")
-    value, point = float(value), np.array(start, dtype=np.float64, ndmin=1)
-    moves = _MOVES[len(point)]
-    steps = [float(step)] * len(point)
-    while max(steps) >= tol:
-        cand = point + moves * steps
-        vals = objective(cand)
-        k = int(np.argmin(vals))
-        if vals[k] < value:
-            value, point = float(vals[k]), cand[k]
-            axis, j = divmod(k, len(_OFFSETS))
-            scale = steps[axis] * abs(_OFFSETS[j])
-            steps = [max(s, scale) for s in steps]
-            steps[axis] = scale
-        else:
-            steps = [s * 0.5**_LEVELS for s in steps]
-    return value, point
+    out_point = np.array(start, dtype=np.float64, ndmin=2)
+    out_value = np.array(value, dtype=np.float64, ndmin=1)
+    moves = _MOVES[out_point.shape[1]]
+    # the states still descending: their indices, points, values and steps
+    rows, point, value = np.arange(len(out_point)), out_point.copy(), out_value.copy()
+    steps = np.full(point.shape, float(step))
+    while len(rows):
+        cand = point[:, np.newaxis] + moves * steps[:, np.newaxis]
+        vals = objective(rows, cand)
+        at = np.arange(len(rows))
+        k = vals.argmin(axis=1)
+        best = vals[at, k]
+        moved = best < value
+        axis, j = np.divmod(k, len(_OFFSETS))
+        scale = steps[at, axis] * _SCALES[j]
+        grown = np.maximum(steps, scale[:, np.newaxis])
+        grown[at, axis] = scale
+        steps = np.where(moved[:, np.newaxis], grown, steps * 0.5**_LEVELS)
+        value = np.where(moved, best, value)
+        point = np.where(moved[:, np.newaxis], cand[at, k], point)
+        done = steps.max(axis=1) < tol
+        if done.any():
+            out_value[rows[done]], out_point[rows[done]] = value[done], point[done]
+            rows, point, value, steps = rows[~done], point[~done], value[~done], steps[~done]
+    return out_value, out_point
 
 
 def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
@@ -170,43 +191,83 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     vals = avg_entropy_numpy(r, ns)
     k = int(np.argmin(vals))
 
-    def objective(angles):
-        return avg_entropy_numpy(r, _directions(angles[:, 0], angles[:, 1]))
+    def objective(_rows, angles):
+        return avg_entropy_numpy(r, _directions(angles[0, :, 0], angles[0, :, 1]))[np.newaxis]
 
     step = max(0.5 * np.pi / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    best, (theta, phi) = _refine_python(objective, (tt[k], pp[k]), vals[k], step, refine_tol)
-    return best, float(theta), float(phi)
+    best, point = _refine_python(objective, (tt[k], pp[k]), vals[k], step, refine_tol)
+    theta, phi = point[0]
+    return float(best[0]), float(theta), float(phi)
+
+
+def _circle_entropy(r, xi):
+    """Average entropy at n = (sin xi, 0, cos xi) for each state of a stack.
+
+    ``r`` is an (N, 4, 4) stack and ``xi`` holds (m,) angles shared by all
+    states or (N, m) angles, one row per state; returns (N, m) values.
+    b.n, T n and |w+-| are summed element by element from each state's own
+    entries, with no matrix product, so a value does not depend on which
+    other states or angles share the call.
+    """
+    s, c = np.sin(xi)[..., np.newaxis, :], np.cos(xi)[..., np.newaxis, :]
+    rn = r[:, :, 1, np.newaxis] * s + r[:, :, 3, np.newaxis] * c  # (N, 4, m): b.n, then T n
+    p = 0.5 * (1.0 + _SIGNS * rn[:, 0])  # (2, N, m): outcome + then -
+    w_sq = 0.0
+    for i in (1, 2, 3):  # |w+-|^2, one component of w = (a +- T n)/2 at a time
+        w = 0.5 * (r[:, i, 0, np.newaxis] + _SIGNS * rn[:, i])
+        w_sq = w_sq + w * w
+    ok = p > P_FLOOR
+    x = np.minimum(np.sqrt(w_sq) / np.where(ok, p, 1.0), 1.0)
+    h = np.where(ok, p * _entropy_of_norms(x), 0.0)
+    return h[0] + h[1]
 
 
 def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     """Minimum average post-measurement entropy over the x-z great circle.
 
+    ``r`` is one 4x4 coefficient matrix or an (N, 4, 4) stack of them.
     Directions are n(xi) = (sin xi, 0, cos xi) with xi in [0, pi), since
     antipodal directions give the same measurement.  The scan visits the
     2 (n_polar - 1) nodes of an (n_polar x n_azimuth) hemisphere grid that
     lie on this circle (azimuth 0 and, through the origin, azimuth pi), so
-    the azimuth count does not enter.  ``_refine_python`` refines the
-    best node over xi until the step drops below ``refine_tol`` radians
-    (> 0), probing xi +- step / 2**j for eight halvings j per numpy call.
-    The result is never above the best node.  Returns ``(value, xi)`` with
-    xi folded into [-pi/2, pi/2), so that n3 >= 0 as on the hemisphere grid.
+    the azimuth count does not enter.  All states' nodes are evaluated in
+    one array operation; ``_refine_python`` then refines every state's best
+    node over xi at once, each with its own step, until the step drops
+    below ``refine_tol`` radians (> 0), probing xi +- step / 2**j for eight
+    halvings j per call.  A result is never above its best node.  Returns
+    ``(value, xi)`` for one matrix and ``(values, xis)`` arrays for a
+    stack, with xi folded into [-pi/2, pi/2), so that n3 >= 0 as on the
+    hemisphere grid.
+
+    Each value is summed state by state (``_circle_entropy``), not by
+    matrix products as in ``avg_entropy_numpy``, whose 1-row and multi-row
+    calls round differently (gemv against gemm).  So a state's result is
+    bitwise the same alone, in any stack and in any chunk of one.  It
+    agrees with ``avg_entropy_numpy`` at the same direction to rounding
+    (~1e-15).
 
     This is the global minimum over the whole sphere only when column 2
     of ``r`` vanishes (the measured qubit's y axis does not enter);
     callers check that.
     """
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coefficient matrix, got {r.shape}")
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape[-2:] != (4, 4) or r.ndim not in (2, 3):
+        raise ValueError(f"expected a 4x4 coefficient matrix or a stack of them, got {r.shape}")
     if n_polar < 2:
         raise ValueError("grid must have at least 2 polar nodes")
+    stack = r.reshape(-1, 4, 4)
     d_xi = 0.5 * np.pi / (n_polar - 1)
     nodes = np.arange(2 * (n_polar - 1)) * d_xi
-    vals = avg_entropy_numpy(r, _directions(nodes, 0.0))
-    k = int(np.argmin(vals))
+    vals = _circle_entropy(stack, nodes)
+    k = vals.argmin(axis=1)
 
-    def objective(angles):
-        return avg_entropy_numpy(r, _directions(angles[:, 0], 0.0))
+    def objective(rows, angles):
+        return _circle_entropy(stack[rows], angles[:, :, 0])
 
-    best, (xi,) = _refine_python(objective, nodes[k], vals[k], d_xi, refine_tol)
-    return best, (float(xi) + 0.5 * np.pi) % np.pi - 0.5 * np.pi
+    best, xi = _refine_python(
+        objective, nodes[k, np.newaxis], vals[np.arange(len(k)), k], d_xi, refine_tol
+    )
+    xi = (xi[:, 0] + 0.5 * np.pi) % np.pi - 0.5 * np.pi
+    if r.ndim == 2:
+        return float(best[0]), float(xi[0])
+    return best, xi

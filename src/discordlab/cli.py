@@ -37,6 +37,7 @@ from .conjectures import test_equi_entropy_conjecture as _run_gap_survey
 from .discord import (
     BRANCH_NUMERIC,
     DEFAULT_GRID,
+    InternalInvariantError,
     UnsupportedStructureError,
     correlation_report,
 )
@@ -624,7 +625,7 @@ def parse_and_dispatch(argv):
     except ConjectureViolationError as exc:
         print(f"conjecture violation: {exc}", file=sys.stderr)
         return 4
-    except RuntimeError as exc:  # a broken internal invariant, not bad input
+    except (RuntimeError, InternalInvariantError) as exc:  # a fault, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
     except (

@@ -21,6 +21,7 @@ spawned per sample index, so parallel runs give identical output).
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +44,11 @@ from .discord import (
     post_measurement_ensemble,
 )
 from .qstate import (
+    EIGENVALUE_FLOOR,
     CorrelationMatrix,
     TwoQubitState,
-    _check_positive,
     _density_matrix,
+    _lowest_eigenvalue,
     binary_entropy,
     mutual_information,
     partial_trace,
@@ -84,6 +86,12 @@ GAP_TOL = 1e-6  # equi-entropy gap below this counts as zero
 CHORD_TOL = 1e-6  # relative y3 component below this counts as horizontal
 _XI_GRID = 4096  # scan resolution for the constrained maximizer
 _MAX_TRIES = 100000  # rejection draws allowed per general-R sample
+_DRAW_BLOCK = 128  # general-R draws checked for positivity by one stacked eigvalsh
+# samples per stacked circle-oracle call in the gap survey.  A chunk's scan
+# temporaries, (2, 16, 360) doubles each, keep a 1k-sample call's peak RSS
+# at the one-state loop's; 24 states add ~0.6 MB, 32 ~1.4 MB and 128 ~6 MB,
+# for 10-20% less CPU per sample at 24 or 32
+_SURVEY_CHUNK = 16
 
 
 class ConjectureViolationError(RuntimeError):
@@ -200,11 +208,20 @@ def mixture_bloch_a(p):
     return np.array([w * np.sin(2 * p.alpha), 0.0, p.lam + w * np.cos(2 * p.alpha)])
 
 
+class _MixtureArrays(NamedTuple):
+    """Mixture parameters as arrays, one entry per sample (for ``_mixture_outcomes``)."""
+
+    lam: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
 def _mixture_outcomes(p, x1, x3):
     """Closed-form p_pm and y_pm for measurement x-vector (1/2, x1, x2, x3).
 
     The x2 component never enters: the y2 row and column of R vanish.
-    Vectorized over x1, x3 arrays.  Returns (p+, p-, y1+, y1-, y3+, y3-);
+    Vectorized over x1, x3 arrays, and over the parameters when ``p`` holds
+    arrays (``_MixtureArrays``).  Returns (p+, p-, y1+, y1-, y3+, y3-);
     entries where an outcome probability is 0 hold NaN Bloch components.
     """
     w = 1.0 - p.lam
@@ -266,9 +283,32 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _circle_oracle(r, n_polar, refine_tol=1e-6):
-    """Exact ``(value, ProjectiveMeasurement)`` minimum for a mixture-family R.
+def _mixture_r(lam, alpha, beta):
+    """Closed-form Pauli coefficient matrices of mixture states, stacked.
 
+    One (4, 4) R per entry of the parameter arrays: lam z z^T + (1 - lam)
+    u v^T with z = (1, 0, 0, 1), u = (1, sin 2a, 0, cos 2a) and v = (1,
+    sin 2b, 0, cos 2b), the product of the two pure states' Bloch 4-vectors,
+    written out entry by entry as in ``_mixture_outcomes``.  Row and column
+    2 are exactly zero.
+    """
+    w = 1.0 - lam
+    sa, ca = np.sin(2 * alpha), np.cos(2 * alpha)
+    sb, cb = np.sin(2 * beta), np.cos(2 * beta)
+    r = np.zeros((len(lam), 4, 4))
+    r[:, 0, 0] = 1.0
+    r[:, 0, 1], r[:, 0, 3] = w * sb, lam + w * cb
+    r[:, 1, 0], r[:, 3, 0] = w * sa, lam + w * ca
+    r[:, 1, 1], r[:, 1, 3] = w * sa * sb, w * sa * cb
+    r[:, 3, 1], r[:, 3, 3] = w * ca * sb, lam + w * ca * cb
+    return r
+
+
+def _circle_oracle(r, n_polar, refine_tol=1e-6):
+    """Exact ``(value, direction)`` minimum for a mixture-family R.
+
+    ``r`` is one 4x4 coefficient matrix or an (N, 4, 4) stack; a stack
+    gives arrays of N values and (N, 3) directions (sin xi, 0, cos xi).
     Column 2 of a mixture state's R (Bob's y axis) vanishes, so p_pm and
     T n do not depend on n2.  A direction with n2 != 0 therefore yields
     the same ensemble as an unsharp measurement along (n1, 0, n3)/|.|,
@@ -276,30 +316,44 @@ def _circle_oracle(r, n_polar, refine_tol=1e-6):
     minimum over the sphere lies on the x-z great circle, whatever the
     equi-entropy conjecture says.  The circle scan visits the grid's nodes
     on that circle, so only ``n_polar`` sets its resolution.  Raises
-    RuntimeError if the column is not zero within 1e-12.
+    RuntimeError if the column is not zero within 1e-12 in every matrix.
     """
-    y_column = np.abs(r.entries[:, 2]).max()
+    r = np.asarray(r, dtype=np.float64)
+    y_column = np.abs(r[..., 2]).max()
     if y_column > 1e-12:
         raise RuntimeError(
             f"mixture state has |R[:, 2]| = {y_column:.3g}; the x-z circle "
             "oracle does not apply"
         )
-    value, xi = min_entropy_circle_scan(r.entries, n_polar, refine_tol)
-    return value, ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
+    value, xi = min_entropy_circle_scan(r, n_polar, refine_tol)
+    xi = np.asarray(xi)
+    return value, np.stack((np.sin(xi), np.zeros_like(xi), np.cos(xi)), axis=-1)
 
 
-def _gap_sample(params, grid, refine_tol):
-    """Circle-oracle optimum of one mixture state and its equi-entropy gap."""
-    r = pauli_expansion(make_mixture_state(params))
-    value, measurement = _circle_oracle(r, grid[0], refine_tol)
-    members = post_measurement_ensemble(r, measurement)
-    if any(member.zero_probability for member in members):
-        gap = 0.0  # single-outcome edge: the ensemble is one point
-    else:
-        gap = abs(np.linalg.norm(members[0].bloch) - np.linalg.norm(members[1].bloch))
-    return GapSample(
-        params=params, optimal_measurement=measurement, gap=float(gap), min_entropy=value
-    )
+def _survey_chunk(drawn, n_polar, refine_tol):
+    """Circle-oracle optima and equi-entropy gaps of mixture samples, as GapSamples.
+
+    R comes in closed form from the stacked parameters (``_mixture_r``) and
+    the ensemble at each optimum from ``_mixture_outcomes``: no state is
+    built or validated.  An outcome with p <= P_FLOOR has no Bloch vector,
+    so its sample's gap is 0 (the ensemble is one point); a norm that
+    round-off puts above 1 counts as 1, as in the oracle.
+    """
+    stacked = _MixtureArrays(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T.copy())
+    values, ns = _circle_oracle(_mixture_r(*stacked), n_polar, refine_tol)
+    pp, pm, y1p, y1m, y3p, y3m = _mixture_outcomes(stacked, 0.5 * ns[:, 0], 0.5 * ns[:, 2])
+    norm_plus = np.minimum(np.sqrt(y1p * y1p + y3p * y3p), 1.0)
+    norm_minus = np.minimum(np.sqrt(y1m * y1m + y3m * y3m), 1.0)
+    gaps = np.where((pp > P_FLOOR) & (pm > P_FLOOR), np.abs(norm_plus - norm_minus), 0.0)
+    return [
+        GapSample(
+            params=p,
+            optimal_measurement=ProjectiveMeasurement(n),
+            gap=float(gap),
+            min_entropy=float(value),
+        )
+        for p, n, gap, value in zip(drawn, ns, gaps, values)
+    ]
 
 
 def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, refine_tol=1e-9):
@@ -318,11 +372,20 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     better (see ``_circle_oracle``).  It is independent of the equi-entropy
     constraint under test.  ``grid`` is read for its polar count only: the
     scan visits the 2 (polar - 1) grid nodes that lie on the circle.
+
+    Samples go to the oracle in chunks of ``_SURVEY_CHUNK``, each one
+    stacked call, mapped over ``threads`` workers.  R and the optimal
+    ensemble come in closed form from the parameters (``_survey_chunk``).
+    The stacked scan sums each state's values element by element, so a
+    sample's row is bitwise the same whatever the chunking or the thread
+    count, unlike the gemv/gemm split of ``avg_entropy_numpy``.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples!r}")
     drawn = sample_mixture_params(samples, seed)
-    results = _parallel_map(lambda p: _gap_sample(p, grid, refine_tol), drawn, threads)
+    chunks = [drawn[i : i + _SURVEY_CHUNK] for i in range(0, samples, _SURVEY_CHUNK)]
+    done = _parallel_map(lambda chunk: _survey_chunk(chunk, grid[0], refine_tol), chunks, threads)
+    results = [sample for chunk in done for sample in chunk]
     gaps = np.array([s.gap for s in results])
     return ConjectureRun(
         samples=tuple(results),
@@ -399,7 +462,7 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     measurement = ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
 
     state = make_mixture_state(p)
-    oracle_value, oracle_m = _circle_oracle(pauli_expansion(state), grid[0])
+    oracle_value, oracle_n = _circle_oracle(pauli_expansion(state).entries, grid[0])
     if abs(value - oracle_value) > 1e-4:
         raise ConjectureViolationError(
             f"constrained optimum {value:.9g} vs oracle {oracle_value:.9g} "
@@ -407,7 +470,7 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
             params=p,
             constrained=value,
             unconstrained=oracle_value,
-            measurement=oracle_m,
+            measurement=ProjectiveMeasurement(oracle_n),
         )
 
     info = mutual_information(state)
@@ -449,7 +512,7 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
             )
             return (a, b, report.mutual_info, report.classical, report.discord)
         state = TwoQubitState(_mixture_matrix(lam, a, b))
-        value, _ = _circle_oracle(pauli_expansion(state), oracle_grid[0])
+        value, _ = _circle_oracle(pauli_expansion(state).entries, oracle_grid[0])
         s_a = von_neumann_entropy(partial_trace(state, "A"))
         info = mutual_information(state)
         classical = s_a - value
@@ -458,17 +521,36 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     return _parallel_map(one, cells, threads)
 
 
+class _TemplateDraws(NamedTuple):
+    """Free template entries as arrays, one entry per draw; t11 and t33 are
+    derived by GeneralRParams' own formulas."""
+
+    r1: np.ndarray
+    r3: np.ndarray
+    s1: np.ndarray
+    s3: np.ndarray
+    t13: np.ndarray
+    t22: np.ndarray
+    t31: np.ndarray
+    t11 = GeneralRParams.t11
+    t33 = GeneralRParams.t33
+
+
+def _template_entries(p):
+    """The template's R from p's fields: (4, 4), or (N, 4, 4) for ``_TemplateDraws``."""
+    one, zero = np.ones_like(p.s1), np.zeros_like(p.s1)
+    rows = (
+        (one, p.s1, zero, p.s3),
+        (p.r1, p.t11, zero, p.t13),
+        (zero, zero, p.t22, zero),
+        (p.r3, p.t31, zero, p.t33),
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def general_r_matrix(p):
     """The off-axis template R as a CorrelationMatrix."""
-    entries = np.array(
-        [
-            [1.0, p.s1, 0.0, p.s3],
-            [p.r1, p.t11, 0.0, p.t13],
-            [0.0, 0.0, p.t22, 0.0],
-            [p.r3, p.t31, 0.0, p.t33],
-        ]
-    )
-    return CorrelationMatrix(entries)
+    return CorrelationMatrix(_template_entries(p))
 
 
 def general_r_geometry(p):
@@ -499,33 +581,36 @@ def sample_general_r_params(count, seed):
     """Rejection-sample valid template states, free entries uniform in [-1, 1].
 
     Rejection criteria: near-zero s1 or t13, a singular R, or a
-    reconstructed matrix that fails positivity.  Positivity is checked on
-    the raw matrix first, so only accepted draws build a TwoQubitState.
-    One RNG stream per sample keeps runs reproducible under any parallel
-    schedule.
+    reconstructed matrix that fails positivity.  One RNG stream per sample
+    keeps runs reproducible under any parallel schedule; each sample is
+    the first valid draw of its stream (``_first_valid_template``).
     """
     children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        for _ in range(_MAX_TRIES):
-            r1, r3, s1, s3, t13, t22, t31 = rng.uniform(-1.0, 1.0, size=7)
-            if abs(s1) < 1e-3 or abs(t13) < 1e-3:
-                continue
-            params = GeneralRParams(r1=r1, r3=r3, s1=s1, s3=s3, t13=t13, t22=t22, t31=t31)
-            rho = _density_matrix(general_r_matrix(params))
+    return [_first_valid_template(np.random.default_rng(child)) for child in children]
+
+
+def _first_valid_template(rng):
+    """The first valid template draw of ``rng``, in draw order.
+
+    Draws come in blocks of ``_DRAW_BLOCK`` rows of seven, the numbers that
+    one draw of seven at a time would give.  Rows with near-zero s1 or t13
+    are dropped and the rest checked for positivity on the raw matrices by
+    one stacked ``eigvalsh``, bitwise the single check; only the surviving
+    rows, in order, build a TwoQubitState, until one has a nonsingular R.
+    """
+    for start in range(0, _MAX_TRIES, _DRAW_BLOCK):
+        draws = rng.uniform(-1.0, 1.0, size=(min(_DRAW_BLOCK, _MAX_TRIES - start), 7))
+        draws = draws[(np.abs(draws[:, 2]) >= 1e-3) & (np.abs(draws[:, 4]) >= 1e-3)]
+        rho = _density_matrix(_template_entries(_TemplateDraws(*draws.T)))
+        for row in draws[~(_lowest_eigenvalue(rho) < EIGENVALUE_FLOOR)]:
+            params = GeneralRParams(*row)
             try:
-                _check_positive(rho)  # most draws fail here, before a state is built
-                state = TwoQubitState(rho)
+                state = make_general_r_state(params)
             except ValueError:
                 continue
-            if abs(pauli_expansion(state).det) <= 1e-10:
-                continue
-            out.append(params)
-            break
-        else:
-            raise RuntimeError(f"no valid template state found in {_MAX_TRIES} draws")
-    return out
+            if abs(pauli_expansion(state).det) > 1e-10:
+                return params
+    raise RuntimeError(f"no valid template state found in {_MAX_TRIES} draws")
 
 
 def class_one_min_entropy(p):
@@ -632,15 +717,15 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
         ) * _entropy_of_norms(np.minimum(y_minus, 1.0))
         return out
 
-    def value_at(angles):
-        return chord_values(_directions(angles[:, 0], angles[:, 1]))
+    def value_at(_rows, angles):
+        return chord_values(_directions(angles[0, :, 0], angles[0, :, 1]))[np.newaxis]
 
     tt, pp, ds = _cached_grid(n_polar, n_azimuth)
     vals = chord_values(ds)
     k = int(np.argmin(vals))
     step = max(np.pi / 2 / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
     refined, _ = _refine_python(value_at, (tt[k], pp[k]), vals[k], step, refine_tol)
-    return refined
+    return float(refined[0])
 
 
 def offaxis_reference_state():

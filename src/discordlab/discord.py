@@ -42,6 +42,7 @@ __all__ = [
     "DEFAULT_GRID",
     "TIE_TOL",
     "UnsupportedStructureError",
+    "InternalInvariantError",
     "ProjectiveMeasurement",
     "EnsembleMember",
     "CorrelationReport",
@@ -65,6 +66,14 @@ class UnsupportedStructureError(ValueError):
     """Analytic method requested for a state without X structure."""
 
 
+class InternalInvariantError(ValueError):
+    """A result broke an invariant the computation guarantees: a fault, not bad input.
+
+    The CLI reports it as an internal error (exit 5).  It stays a
+    ValueError, so library code that catches ValueError still catches it.
+    """
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     """Two-outcome measurement on qubit B with elements (1 +- n.sigma)/2."""
@@ -75,7 +84,9 @@ class ProjectiveMeasurement:
         n = np.array(self.direction, dtype=np.float64).reshape(3)
         norm = np.linalg.norm(n)
         if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"measurement direction must be unit length, got |n| = {norm!r}")
+            raise InternalInvariantError(
+                f"measurement direction must be unit length, got |n| = {norm!r}"
+            )
         n.flags.writeable = False
         object.__setattr__(self, "direction", n)
 
@@ -95,10 +106,12 @@ class EnsembleMember:
     def __post_init__(self):
         p = float(self.probability)
         if not -1e-12 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"outcome probability {p!r} outside [0, 1]")
+            raise InternalInvariantError(f"outcome probability {p!r} outside [0, 1]")
         y = np.array(self.bloch, dtype=np.float64).reshape(3)
         if np.linalg.norm(y) > 1.0 + 1e-9:
-            raise ValueError(f"postmeasurement Bloch vector {y!r} leaves the unit ball")
+            raise InternalInvariantError(
+                f"postmeasurement Bloch vector {y!r} leaves the unit ball"
+            )
         y.flags.writeable = False
         object.__setattr__(self, "probability", p)
         object.__setattr__(self, "bloch", y)
@@ -125,9 +138,9 @@ class CorrelationReport:
         if self.branch not in (BRANCH_QUASI_EIGEN, BRANCH_EQUI_ENTROPY, BRANCH_NUMERIC):
             raise ValueError(f"unknown branch label {self.branch!r}")
         if abs(self.mutual_info - self.classical - self.discord) > 1e-9:
-            raise ValueError("I = C + Q violated beyond 1e-9")
+            raise InternalInvariantError("I = C + Q violated beyond 1e-9")
         if self.classical < -1e-9 or self.discord < -1e-9:
-            raise ValueError(
+            raise InternalInvariantError(
                 f"negative correlation: C = {self.classical!r}, Q = {self.discord!r}"
             )
 

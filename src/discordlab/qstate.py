@@ -78,10 +78,16 @@ def binary_entropy(x):
     return float(s)
 
 
+def _lowest_eigenvalue(m):
+    """Lowest eigenvalue of a Hermitian matrix, or of each in a stack
+    (complex128 ``eigvalsh``; a stacked call gives the single calls' bits)."""
+    return np.linalg.eigvalsh(np.asarray(m, dtype=np.complex128)).min(axis=-1)
+
+
 def _check_positive(m):
     """Raise InvalidStateError if the Hermitian matrix ``m`` has an
-    eigenvalue below EIGENVALUE_FLOOR (complex128 ``eigvalsh``)."""
-    lowest = np.linalg.eigvalsh(np.asarray(m, dtype=np.complex128)).min()
+    eigenvalue below EIGENVALUE_FLOOR."""
+    lowest = _lowest_eigenvalue(m)
     if lowest < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"matrix has negative eigenvalue {lowest:.3e}")
 
@@ -249,9 +255,10 @@ def pauli_expansion(state):
 
 
 def _density_matrix(r):
-    """Unvalidated inverse of :func:`pauli_expansion`: the 4x4 matrix of R."""
+    """Unvalidated inverse of :func:`pauli_expansion`: the 4x4 matrix of R,
+    or one per matrix of an (N, 4, 4) stack."""
     entries = r.entries if isinstance(r, CorrelationMatrix) else np.asarray(r, float)
-    return 0.25 * np.einsum("ab,abij->ij", entries, PAULI_PRODUCTS)
+    return 0.25 * np.einsum("...ab,abij->...ij", entries, PAULI_PRODUCTS)
 
 
 def reconstruct_state(r):

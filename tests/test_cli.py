@@ -359,3 +359,16 @@ def test_exit_five_on_internal_error(capsys, monkeypatch, rng):
     assert code == 5
     assert err.startswith("internal error: ")
     assert "R[:, 2]" in err
+
+
+def test_exit_five_on_broken_ensemble_invariant(capsys, monkeypatch):
+    # a steered Bloch vector outside the unit ball is a fault in the
+    # computation, not a flag error: exit 5, though it is still a ValueError
+    monkeypatch.setattr(discord, "_onto_unit_ball", lambda y, p: y + 2.0)
+    code, out, err = run(capsys, ["compute", "--state", X_SPEC])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "unit ball" in err
+    with pytest.raises(ValueError, match="unit ball"):
+        discord.EnsembleMember(0.5, np.array([0.0, 0.0, 1.5]))

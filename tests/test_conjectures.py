@@ -146,13 +146,51 @@ def test_gap_survey_thread_count_does_not_change_results():
         assert a.min_entropy == b.min_entropy
 
 
+def test_survey_chunking_does_not_change_results(monkeypatch):
+    # samples go to the stacked circle oracle in chunks; a row's bits do not
+    # depend on which chunk it lands in
+    default = conjectures.test_equi_entropy_conjecture(samples=100, seed=5)
+    monkeypatch.setattr(conjectures, "_SURVEY_CHUNK", 7)
+    rechunked = conjectures.test_equi_entropy_conjecture(samples=100, seed=5)
+    for a, b in zip(default.samples, rechunked.samples):
+        assert a.gap == b.gap
+        assert a.min_entropy == b.min_entropy
+        n_a, n_b = a.optimal_measurement.direction, b.optimal_measurement.direction
+        assert n_a.tobytes() == n_b.tobytes()
+
+
+def test_mixture_r_matches_pauli_expansion():
+    # the survey's closed-form R against the generic route through the state
+    drawn = sample_mixture_params(1000, 5)
+    lam, alpha, beta = np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T
+    closed = conjectures._mixture_r(lam, alpha, beta)
+    generic = np.array([pauli_expansion(make_mixture_state(p)).entries for p in drawn])
+    np.testing.assert_allclose(closed, generic, rtol=0.0, atol=1e-15)
+    assert not closed[:, 2, :].any() and not closed[:, :, 2].any()
+
+
+def test_survey_gaps_match_ensemble_route():
+    # gaps from the closed-form outcomes against the generic ensemble at the
+    # same measurement; |y| carries a round-off error of order eps / p
+    run = conjectures.test_equi_entropy_conjecture(samples=200, seed=5)
+    for sample in run.samples:
+        r = pauli_expansion(make_mixture_state(sample.params))
+        plus, minus = post_measurement_ensemble(r, sample.optimal_measurement)
+        if plus.zero_probability or minus.zero_probability:
+            assert sample.gap == 0.0
+            continue
+        gap = abs(np.linalg.norm(plus.bloch) - np.linalg.norm(minus.bloch))
+        p_min = min(plus.probability, minus.probability)
+        assert sample.gap == pytest.approx(gap, abs=1e-12 + 64 * np.finfo(float).eps / p_min)
+
+
 def test_circle_oracle_matches_grid_oracle():
     # the survey's exact x-z circle oracle against the independent 2-D grid
     # oracle; samples 435 and 510 have a rare outcome with p ~ 1e-8 and a
     # gap above 1e-5
-    drawn = sample_mixture_params(511, 20250814)
-    for p in drawn[:200] + [drawn[435], drawn[510]]:
-        sample = conjectures._gap_sample(p, DEFAULT_GRID, 1e-9)
+    run = conjectures.test_equi_entropy_conjecture(samples=511, seed=20250814)
+    for sample in run.samples[:200] + (run.samples[435], run.samples[510]):
+        p = sample.params
         assert sample.optimal_measurement.direction[1] == 0.0
         oracle, _ = brute_force_min_entropy(
             pauli_expansion(make_mixture_state(p)), grid=DEFAULT_GRID, refine_tol=1e-9
@@ -163,9 +201,7 @@ def test_circle_oracle_matches_grid_oracle():
 @pytest.mark.parametrize(
     "route",
     [
-        lambda: conjectures._gap_sample(
-            MixtureParams(lam=0.3, alpha=0.7, beta=1.1), DEFAULT_GRID, 1e-9
-        ),
+        lambda: conjectures.test_equi_entropy_conjecture(samples=3, seed=7),
         lambda: mixture_correlations_via_conjecture(
             MixtureParams(lam=0.3, alpha=0.7, beta=1.1)
         ),
@@ -183,6 +219,11 @@ def test_gap_sample_requires_vanishing_y_column(monkeypatch, rng, route):
         conjectures,
         "_mixture_matrix",
         lambda lam, alpha, beta: bad if beta > 0.0 else mixture(lam, alpha, beta),
+    )
+    # the survey builds R in closed form, stacked, rather than from the state
+    bad_r = pauli_expansion(TwoQubitState(bad)).entries
+    monkeypatch.setattr(
+        conjectures, "_mixture_r", lambda lam, alpha, beta: np.array([bad_r] * len(lam))
     )
     with pytest.raises(RuntimeError, match=r"R\[:, 2\]"):
         route()
@@ -393,6 +434,32 @@ def test_sample_general_r_params_reproducible_and_valid():
     for p in drawn:
         state = make_general_r_state(p)  # validates positivity
         assert abs(pauli_expansion(state).det) > 1e-10
+
+
+def _first_valid_template_one_draw_at_a_time(rng):
+    # the sampler's former loop: seven uniforms per draw, one eigvalsh each
+    while True:
+        r1, r3, s1, s3, t13, t22, t31 = rng.uniform(-1.0, 1.0, size=7)
+        if abs(s1) < 1e-3 or abs(t13) < 1e-3:
+            continue
+        params = GeneralRParams(r1=r1, r3=r3, s1=s1, s3=s3, t13=t13, t22=t22, t31=t31)
+        try:
+            state = make_general_r_state(params)
+        except ValueError:
+            continue
+        if abs(pauli_expansion(state).det) > 1e-10:
+            return params
+
+
+def test_general_r_sampling_matches_one_draw_at_a_time():
+    # blocks of draws checked by one stacked eigvalsh accept the same draw
+    drawn = sample_general_r_params(40, 11)
+    children = np.random.SeedSequence(11).spawn(40)
+    for p, child in zip(drawn, children):
+        q = _first_valid_template_one_draw_at_a_time(np.random.default_rng(child))
+        assert (p.r1, p.r3, p.s1, p.s3, p.t13, p.t22, p.t31) == (
+            q.r1, q.r3, q.s1, q.s3, q.t13, q.t22, q.t31
+        )
 
 
 def test_general_r_sampling_builds_one_state_per_sample(monkeypatch):

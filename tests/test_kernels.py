@@ -89,13 +89,71 @@ def test_min_entropy_scan_validation():
 @pytest.mark.parametrize("target", [(1.0,), (1.0, 2.0)], ids=["1-D", "2-D"])
 def test_refine_descends_from_start(target):
     # a convex toy objective: descent must reach its minimum at ``target``
-    def objective(angles):
-        return ((angles - target) ** 2).sum(axis=1)
+    def objective(_rows, angles):
+        return ((angles - target) ** 2).sum(axis=2)
 
     start = np.zeros(len(target))
     best, point = _kernels._refine_python(objective, start, np.dot(target, target), 0.5, 1e-9)
-    assert best == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(point, target, rtol=0.0, atol=1e-6)
+    assert best[0] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(point[0], target, rtol=0.0, atol=1e-6)
+
+
+def test_refine_rows_descend_independently(rng):
+    # each row keeps its own point, value and steps: a stacked call gives
+    # every row bitwise what a one-row call gives, though rows stop at
+    # different iterations
+    targets = rng.uniform(-1.0, 1.0, size=(9, 2))
+    targets[3] = 0.0  # already at its minimum: stops after the first shrinks
+
+    def objective(rows, angles):
+        return ((angles - targets[rows, np.newaxis]) ** 2).sum(axis=2)
+
+    starts = np.zeros_like(targets)
+    start_values = (targets**2).sum(axis=1)
+    best, point = _kernels._refine_python(objective, starts, start_values, 0.5, 1e-9)
+    for i in range(len(targets)):
+        one_best, one_point = _kernels._refine_python(
+            lambda _rows, angles: objective(np.array([i]), angles),
+            starts[i], start_values[i], 0.5, 1e-9,
+        )
+        assert best[i] == one_best[0]
+        assert point[i].tobytes() == one_point[0].tobytes()
+    np.testing.assert_allclose(point, targets, rtol=0.0, atol=1e-6)
+
+
+def _zero_y_column(r):
+    r = r.copy()
+    r[..., 2] = 0.0
+    return r
+
+
+def test_circle_scan_stack_rows_match_single_calls(rng):
+    # a stacked call returns, row by row, bitwise the one-state results, under
+    # any chunking of the stack: values are summed state by state
+    mixtures = [
+        pauli_expansion(conjectures.make_mixture_state(p)).entries
+        for p in conjectures.sample_mixture_params(150, 5)
+    ]
+    generic = [_zero_y_column(pauli_expansion(ginibre_state(rng)).entries) for _ in range(50)]
+    stack = np.array(mixtures + generic)
+    single = np.array([_kernels.min_entropy_circle_scan(r, 181, 1e-9) for r in stack])
+    for size in (len(stack), 32, 7, 1):
+        parts = [
+            _kernels.min_entropy_circle_scan(stack[i : i + size], 181, 1e-9)
+            for i in range(0, len(stack), size)
+        ]
+        values = np.concatenate([part[0] for part in parts])
+        xis = np.concatenate([part[1] for part in parts])
+        assert values.tobytes() == single[:, 0].tobytes()
+        assert xis.tobytes() == single[:, 1].tobytes()
+    # the same minima as the matrix-product evaluator at the same directions
+    ns = np.column_stack((np.sin(single[:, 1]), np.zeros(len(stack)), np.cos(single[:, 1])))
+    direct = [_kernels.avg_entropy_numpy(r, n[np.newaxis])[0] for r, n in zip(stack, ns)]
+    np.testing.assert_allclose(single[:, 0], direct, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError, match="4x4"):
+        _kernels.min_entropy_circle_scan(np.zeros((2, 3, 3)), 7)
+    with pytest.raises(ValueError, match="4x4"):
+        _kernels.min_entropy_circle_scan(np.zeros((2, 2, 4, 4)), 7)
 
 
 
