@@ -9,19 +9,19 @@ cache filled on first use per shape, evaluates it with
 the one step-halving descent, which also serves the circle and chord
 searches; it descends from rows of starting points, one per state, each
 with its own value, point and steps.  ``avg_entropy_numpy`` works through
-long direction arrays in fixed blocks of rows: the temporaries stay small
-enough to be reused from the heap instead of being mapped afresh, and the
-small matrix products stay on one BLAS thread, which on a 65k-row product
-would otherwise spin a second core for no gain in wall time.  Those
-products round a 1-row call (gemv) differently from a multi-row one
-(gemm), so its values depend on the call's shape in the last digits.
+long direction arrays in fixed blocks of rows, so that the temporaries
+stay small enough to be reused from the heap instead of being mapped
+afresh.
 
 When R ignores the measured qubit's y axis the search reduces exactly to
 the x-z great circle, scanned by ``min_entropy_circle_scan`` for one R or
 an (N, 4, 4) stack: every state's nodes in one array operation, then one
-descent over the states still moving.  It sums b.n, T n and |w+-| element
-by element (``_circle_entropy``), with no matrix product, so a state's
-result is bitwise the same alone, in any stack and in any chunk of one.
+descent over the states still moving.
+
+Both scans evaluate the entropy with ``_avg_entropy``, which sums b.n, T n
+and |w+-| element by element from each state's own entries, with no
+matrix product.  So a direction's value is bitwise the same alone, in any
+block of rows, in any stack of states and in either scan.
 
 A direction n on the unit sphere stands for the projective measurement with
 elements (1 +- n.sigma)/2 on qubit B.  Given the Pauli coefficient matrix R,
@@ -32,6 +32,8 @@ outcome probabilities and steered Bloch vectors of qubit A follow from
 where b = R[0, 1:], a = R[1:, 0] and T = R[1:, 1:].  Antipodal directions
 give the same measurement, so scanning one hemisphere suffices.
 """
+
+import functools
 
 import numpy as np
 
@@ -52,7 +54,7 @@ _MOVES = {d: np.kron(np.eye(d), _OFFSETS[:, np.newaxis]) for d in (1, 2)}
 _SCALES = np.abs(_OFFSETS)
 _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcomes + and - along a leading axis
 # Directions per block in avg_entropy_numpy.  A block's temporaries
-# (~0.3 MB) plus the 0.5 MB result of a 181 x 360 grid stay below glibc's
+# (~0.4 MB) plus the 0.5 MB result of a 181 x 360 grid stay below glibc's
 # heap trim threshold, so warm calls reuse heap pages instead of faulting
 # them in again; at 4096 rows they do not, and a call takes over 200 faults.
 _BLOCK_ROWS = 2048
@@ -70,9 +72,9 @@ def grid_directions(n_polar, n_azimuth):
 
 
 def _directions(theta, phi):
-    """Unit vectors (sin t cos p, sin t sin p, cos t), one row per angle pair."""
+    """Unit vectors (sin t cos p, sin t sin p, cos t) along a last axis of 3."""
     st = np.sin(theta)
-    return np.column_stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)))
+    return np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
 
 
 def _cached_grid(n_polar, n_azimuth):
@@ -94,31 +96,43 @@ def _entropy_of_norms(x):
     return -hp * np.log2(hp) - hq * np.log2(np.where(hq > 0.0, hq, 1.0))
 
 
+def _avg_entropy(r, terms):
+    """Average entropy at the directions n = sum_k n_k e_k, for each state of a stack.
+
+    ``r`` is an (N, 4, 4) stack.  ``terms`` pairs each axis k (1, 2 or 3)
+    of the measured qubit with the components n_k of the directions: (m,)
+    values shared by all states or (N, m), one row per state; an axis left
+    out has n_k = 0.  Returns (N, m) values.  b.n, T n and |w+-| are summed
+    term by term from each state's own entries, with no matrix product, so
+    a value does not depend on which other states or directions share the
+    call.
+    """
+    rn = functools.reduce(  # (N, 4, m): b.n, then T n
+        np.add, (r[:, :, k, np.newaxis] * n_k[..., np.newaxis, :] for k, n_k in terms)
+    )
+    p = 0.5 * (1.0 + _SIGNS * rn[:, 0])  # (2, N, m): outcome + then -
+    w_sq = 0.0
+    for i in (1, 2, 3):  # |w+-|^2, one component of w = (a +- T n)/2 at a time
+        w = 0.5 * (r[:, i, 0, np.newaxis] + _SIGNS * rn[:, i])
+        w_sq = w_sq + w * w
+    ok = p > P_FLOOR
+    x = np.minimum(np.sqrt(w_sq) / np.where(ok, p, 1.0), 1.0)
+    h = np.where(ok, p * _entropy_of_norms(x), 0.0)
+    return h[0] + h[1]
+
+
 def avg_entropy_numpy(r, ns):
     """Average post-measurement entropy for each direction row of ``ns``.
 
-    Rows are evaluated in blocks of ``_BLOCK_ROWS``, so a long call returns
-    bitwise the values of its block-sized slices.
+    Rows are evaluated by ``_avg_entropy`` in blocks of ``_BLOCK_ROWS``, so
+    a direction's value is bitwise the same whatever rows share the call.
     """
+    stack = np.asarray(r, dtype=np.float64)[np.newaxis]
     ns = np.atleast_2d(np.asarray(ns, dtype=np.float64))
     out = np.empty(len(ns))
     for start in range(0, len(ns), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        out[start:stop] = _avg_entropy_block(r, ns[start:stop])
-    return out
-
-
-def _avg_entropy_block(r, ns):
-    a = r[1:, 0]
-    t_n = ns @ r[1:, 1:].T
-    bn = ns @ r[0, 1:]
-    out = np.zeros(len(ns))
-    for sign in (1.0, -1.0):
-        p = 0.5 * (1.0 + sign * bn)
-        w = 0.5 * (a + sign * t_n)
-        ok = p > P_FLOOR
-        x = np.minimum(np.linalg.norm(w[ok], axis=1) / p[ok], 1.0)
-        out[ok] += p[ok] * _entropy_of_norms(x)
+        block = ns[start : start + _BLOCK_ROWS]
+        out[start : start + _BLOCK_ROWS] = _avg_entropy(stack, enumerate(block.T, 1))[0]
     return out
 
 
@@ -178,9 +192,9 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
 
     The grid comes from a cache filled on the first call per shape and is
     evaluated in blocks of rows (see ``avg_entropy_numpy``).  A warm call
-    on the 181 x 360 default grid takes ~15 ms on one core of a 2-core
-    x86-64 VM (Python 3.11, numpy 2.4, OpenBLAS 0.3.31): ~13 ms of grid
-    evaluation and ~1.5 ms of descent in ~13 calls of 32 directions.
+    on the 181 x 360 default grid takes ~8 ms on one core of a 2-core
+    x86-64 VM (Python 3.11, numpy 2.4): ~7 ms of grid evaluation and under
+    1 ms of descent in ~13 calls of 32 directions.
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     if r.shape != (4, 4):
@@ -200,28 +214,6 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     return float(best[0]), float(theta), float(phi)
 
 
-def _circle_entropy(r, xi):
-    """Average entropy at n = (sin xi, 0, cos xi) for each state of a stack.
-
-    ``r`` is an (N, 4, 4) stack and ``xi`` holds (m,) angles shared by all
-    states or (N, m) angles, one row per state; returns (N, m) values.
-    b.n, T n and |w+-| are summed element by element from each state's own
-    entries, with no matrix product, so a value does not depend on which
-    other states or angles share the call.
-    """
-    s, c = np.sin(xi)[..., np.newaxis, :], np.cos(xi)[..., np.newaxis, :]
-    rn = r[:, :, 1, np.newaxis] * s + r[:, :, 3, np.newaxis] * c  # (N, 4, m): b.n, then T n
-    p = 0.5 * (1.0 + _SIGNS * rn[:, 0])  # (2, N, m): outcome + then -
-    w_sq = 0.0
-    for i in (1, 2, 3):  # |w+-|^2, one component of w = (a +- T n)/2 at a time
-        w = 0.5 * (r[:, i, 0, np.newaxis] + _SIGNS * rn[:, i])
-        w_sq = w_sq + w * w
-    ok = p > P_FLOOR
-    x = np.minimum(np.sqrt(w_sq) / np.where(ok, p, 1.0), 1.0)
-    h = np.where(ok, p * _entropy_of_norms(x), 0.0)
-    return h[0] + h[1]
-
-
 def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     """Minimum average post-measurement entropy over the x-z great circle.
 
@@ -239,12 +231,9 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     stack, with xi folded into [-pi/2, pi/2), so that n3 >= 0 as on the
     hemisphere grid.
 
-    Each value is summed state by state (``_circle_entropy``), not by
-    matrix products as in ``avg_entropy_numpy``, whose 1-row and multi-row
-    calls round differently (gemv against gemm).  So a state's result is
-    bitwise the same alone, in any stack and in any chunk of one.  It
-    agrees with ``avg_entropy_numpy`` at the same direction to rounding
-    (~1e-15).
+    Values come from ``_avg_entropy`` with the two terms sin xi and cos xi,
+    so a state's result is bitwise the same alone, in any stack and in any
+    chunk of one.
 
     This is the global minimum over the whole sphere only when column 2
     of ``r`` vanishes (the measured qubit's y axis does not enter);
@@ -258,11 +247,15 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     stack = r.reshape(-1, 4, 4)
     d_xi = 0.5 * np.pi / (n_polar - 1)
     nodes = np.arange(2 * (n_polar - 1)) * d_xi
-    vals = _circle_entropy(stack, nodes)
+
+    def on_circle(states, xi):  # values at n = (sin xi, 0, cos xi)
+        return _avg_entropy(states, ((1, np.sin(xi)), (3, np.cos(xi))))
+
+    vals = on_circle(stack, nodes)
     k = vals.argmin(axis=1)
 
     def objective(rows, angles):
-        return _circle_entropy(stack[rows], angles[:, :, 0])
+        return on_circle(stack[rows], angles[:, :, 0])
 
     best, xi = _refine_python(
         objective, nodes[k, np.newaxis], vals[np.arange(len(k)), k], d_xi, refine_tol

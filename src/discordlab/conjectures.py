@@ -378,7 +378,7 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     ensemble come in closed form from the parameters (``_survey_chunk``).
     The stacked scan sums each state's values element by element, so a
     sample's row is bitwise the same whatever the chunking or the thread
-    count, unlike the gemv/gemm split of ``avg_entropy_numpy``.
+    count.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import P_FLOOR, min_entropy_scan
+from ._kernels import P_FLOOR, _directions, min_entropy_scan
 from .qstate import (
     CorrelationMatrix,
     binary_entropy,
@@ -253,9 +253,7 @@ def brute_force_min_entropy(r, grid=DEFAULT_GRID, refine_tol=1e-6):
     entries = _entries(r)
     n_polar, n_azimuth = grid
     value, theta, phi = min_entropy_scan(entries, n_polar, n_azimuth, refine_tol)
-    n = np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
+    n = _directions(theta, phi)
     n /= np.linalg.norm(n)
     return float(value), ProjectiveMeasurement(n)
 

@@ -238,8 +238,10 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=Fa
     """
     if steps < 2:
         raise ValueError(f"need at least 2 time steps, got {steps!r}")
-    if rate < 0.0:
-        raise ValueError(f"damping rate must be nonnegative, got {rate!r}")
+    if not (np.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"damping rate must be finite and nonnegative, got {rate!r}")
+    if not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     _named_kraus(channel, 0.0 if channel != "phase_damping" else 1.0)  # name check
     times = np.linspace(0.0, float(t_max), int(steps))
     gammas = np.exp(-rate * times)

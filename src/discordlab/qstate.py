@@ -96,14 +96,17 @@ def _check_positive(m):
 class TwoQubitState:
     """Validated 4x4 density matrix of a qubit pair.
 
-    The constructor checks Hermiticity, unit trace and positivity and
-    raises :class:`InvalidStateError` with the offending entry otherwise.
+    The constructor checks that the entries are finite and that the matrix
+    is Hermitian, of unit trace and positive, and raises
+    :class:`InvalidStateError` with the offending entry otherwise.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
+        if not np.isfinite(m).all():
+            raise InvalidStateError("matrix has a non-finite (NaN or infinite) entry")
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
         dev = np.abs(m - m.conj().T)

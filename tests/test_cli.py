@@ -128,6 +128,33 @@ def test_exit_three_on_state_errors(capsys):
     assert "positivity" in err
 
 
+NAN_MATRIX = (
+    '{"matrix": [[[NaN,0],[0,0],[0,0],[0,0]],'
+    "[[0,0],[0.5,0],[0,0],[0,0]],"
+    "[[0,0],[0,0],[0.5,0],[0,0]],"
+    "[[0,0],[0,0],[0,0],[0,0]]]}"
+)
+
+
+@pytest.mark.parametrize("command", ["compute", "ellipsoid"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NAN_MATRIX,
+        NAN_MATRIX.replace("[[0,0],[0.5,0]", "[[0,0],[0.5,Infinity]", 1),
+        '{"xstate": {"a": NaN, "b": 0.1, "c": 0.2, "d": 0.3, "u": 0.1, "v": 0.1}}',
+        '{"bell_diagonal": [0.8, NaN, 0.2]}',
+    ],
+    ids=["matrix-nan", "matrix-infinity", "xstate", "bell_diagonal"],
+)
+def test_exit_three_on_non_finite_states(capsys, command, spec):
+    # JSON NaN and Infinity parse as floats; the state must reject them
+    code, out, err = run(capsys, [command, "--state", spec])
+    assert code == 3
+    assert out == ""
+    assert err == "error: matrix has a non-finite (NaN or infinite) entry\n"
+
+
 def test_exit_four_on_conjecture_threshold(capsys):
     code, out, err = run(
         capsys,
@@ -270,6 +297,23 @@ def test_dynamics_fast_rejects_non_x(capsys):
     )
     assert code == 3
     assert "X-shaped" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--rate", "1", "--t-max", "-1"], "t_max"),
+        (["--rate", "1", "--t-max", "0"], "t_max"),
+        (["--rate", "1", "--t-max", "nan", "--channel", "pauli(0.5,0.3,0.2)"], "t_max"),
+        (["--rate", "nan", "--t-max", "1"], "rate"),
+        (["--rate", "inf", "--t-max", "1"], "rate"),
+    ],
+)
+def test_dynamics_rejects_bad_time_flags(capsys, flags, named):
+    code, out, err = run(capsys, ["dynamics", "--state", BD_SPEC, "--steps", "3", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
 
 
 # ---- monte-carlo subcommands ----------------------------------------------

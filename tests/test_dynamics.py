@@ -166,8 +166,12 @@ def test_evolve_trajectory_validation(rng):
     state = make_bell_diagonal(BENCHMARK)
     with pytest.raises(ValueError, match="steps"):
         evolve_trajectory(state, rate=1.0, t_max=1.0, steps=1)
-    with pytest.raises(ValueError, match="rate"):
-        evolve_trajectory(state, rate=-1.0, t_max=1.0, steps=5)
+    for rate in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rate"):
+            evolve_trajectory(state, rate=rate, t_max=1.0, steps=5)
+    for t_max in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            evolve_trajectory(state, rate=1.0, t_max=t_max, steps=5)
     with pytest.raises(ValueError, match="unknown channel"):
         evolve_trajectory(state, rate=1.0, t_max=1.0, steps=5, channel="nope")
     with pytest.raises(UnsupportedStructureError):

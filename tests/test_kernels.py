@@ -146,7 +146,8 @@ def test_circle_scan_stack_rows_match_single_calls(rng):
         xis = np.concatenate([part[1] for part in parts])
         assert values.tobytes() == single[:, 0].tobytes()
         assert xis.tobytes() == single[:, 1].tobytes()
-    # the same minima as the matrix-product evaluator at the same directions
+    # the same minima as avg_entropy_numpy at the returned directions, to the
+    # rounding of folding xi into [-pi/2, pi/2) after the descent
     ns = np.column_stack((np.sin(single[:, 1]), np.zeros(len(stack)), np.cos(single[:, 1])))
     direct = [_kernels.avg_entropy_numpy(r, n[np.newaxis])[0] for r, n in zip(stack, ns)]
     np.testing.assert_allclose(single[:, 0], direct, rtol=0.0, atol=1e-14)
@@ -168,9 +169,37 @@ def test_avg_entropy_numpy_blocks_rows(rng):
         [_kernels.avg_entropy_numpy(r, ns[i : i + block]) for i in range(0, len(ns), block)]
     )
     assert whole.tobytes() == sliced.tobytes()
-    # ... and those of single rows up to rounding
+    # ... and those of single rows
     rows = np.array([_kernels.avg_entropy_numpy(r, n[np.newaxis, :])[0] for n in ns])
-    np.testing.assert_allclose(whole, rows, rtol=0.0, atol=1e-15)
+    assert whole.tobytes() == rows.tobytes()
+
+
+def test_direction_value_is_independent_of_call_shape(rng):
+    # one element-wise evaluator for both scans: a direction's value is bitwise
+    # the same in a 1-row call, in any slice of rows, inside the whole default
+    # grid, as one row of a stack of states and on the x-z circle
+    stack = np.array([pauli_expansion(ginibre_state(rng)).entries for _ in range(4)])
+    tt, pp, ns = _kernels._cached_grid(*DEFAULT_GRID)
+    assert len(ns) == 65160
+    span = 3 * _kernels._BLOCK_ROWS - 5
+    picks = rng.choice(len(ns), size=(len(stack), 10), replace=False)
+    whole = np.array([_kernels.avg_entropy_numpy(r, ns) for r in stack])
+    for r, values, own in zip(stack, whole, picks):
+        rows = np.array([_kernels.avg_entropy_numpy(r, ns[i : i + 1])[0] for i in own])
+        assert rows.tobytes() == values[own].tobytes()
+        start = int(rng.integers(len(ns) - span))  # not aligned to a block
+        part = _kernels.avg_entropy_numpy(r, ns[start : start + span])
+        assert part.tobytes() == values[start : start + span].tobytes()
+    # all states at shared directions, then each state at its own
+    shared = _kernels._avg_entropy(stack, enumerate(ns[picks[0]].T, 1))
+    assert shared.tobytes() == whole[:, picks[0]].tobytes()
+    own = _kernels._avg_entropy(stack, enumerate(np.moveaxis(ns[picks], -1, 0), 1))
+    assert own.tobytes() == np.take_along_axis(whole, picks, axis=1).tobytes()
+    # grid nodes at azimuth 0 have n2 = 0: the circle scan's two terms
+    circle = pp == 0.0
+    xi = tt[circle]
+    on_circle = _kernels._avg_entropy(stack, ((1, np.sin(xi)), (3, np.cos(xi))))
+    assert on_circle.tobytes() == whole[:, circle].tobytes()
 
 
 def test_grid_cache_builds_each_shape_once(monkeypatch, rng):
@@ -210,8 +239,7 @@ def test_warm_oracle_calls_reuse_memory(rng):
     # a 65k-row temporary allocated afresh on every call costs ~3,000 minor
     # page faults per call; blocked evaluation keeps them on the heap.  The
     # bound assumes glibc's default mmap and trim thresholds (a preloaded
-    # allocator or MALLOC_*_THRESHOLD_ settings change what is measured), and
-    # ru_minflt also counts faults taken by the BLAS threads of this process.
+    # allocator or MALLOC_*_THRESHOLD_ settings change what is measured).
     r = pauli_expansion(ginibre_state(rng)).entries
     for _ in range(2):
         _kernels.min_entropy_scan(r, *DEFAULT_GRID)
