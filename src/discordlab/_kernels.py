@@ -18,10 +18,12 @@ the x-z great circle, scanned by ``min_entropy_circle_scan`` for one R or
 an (N, 4, 4) stack: every state's nodes in one array operation, then one
 descent over the states still moving.
 
-Both scans evaluate the entropy with ``_avg_entropy``, which sums b.n, T n
-and |w+-| element by element from each state's own entries, with no
-matrix product.  So a direction's value is bitwise the same alone, in any
-block of rows, in any stack of states and in either scan.
+Both scans evaluate the entropy with ``_avg_entropy``, the entropy sum
+over ``_outcomes``, the one forward map from R and n to p+- and |y+-|.  It
+sums b.n, T n and |w+-| element by element from each state's own entries,
+with no matrix product.  So a direction's value is bitwise the same alone,
+in any block of rows, in any stack of states and in either scan.  The
+mixture family's constrained maximiser and gap survey read the same map.
 
 A direction n on the unit sphere stands for the projective measurement with
 elements (1 +- n.sigma)/2 on qubit B.  Given the Pauli coefficient matrix R,
@@ -96,28 +98,38 @@ def _entropy_of_norms(x):
     return -hp * np.log2(hp) - hq * np.log2(np.where(hq > 0.0, hq, 1.0))
 
 
-def _avg_entropy(r, terms):
-    """Average entropy at the directions n = sum_k n_k e_k, for each state of a stack.
+def _outcomes(r, terms):
+    """Outcome probabilities p+- and steered norms |y+-| at n = sum_k n_k e_k, per state.
 
     ``r`` is an (N, 4, 4) stack.  ``terms`` pairs each axis k (1, 2 or 3)
     of the measured qubit with the components n_k of the directions: (m,)
     values shared by all states or (N, m), one row per state; an axis left
-    out has n_k = 0.  Returns (N, m) values.  b.n, T n and |w+-| are summed
-    term by term from each state's own entries, with no matrix product, so
-    a value does not depend on which other states or directions share the
-    call.
+    out has n_k = 0.  Returns ``(p, x)``, each (2, N, m) with outcome + then
+    - along the leading axis; x = |w+-| / p+- is clamped at 1, since |y|
+    carries a round-off error of order eps / p.  An outcome with p <=
+    P_FLOOR has no Bloch vector, and its x means nothing.  b.n, T n and
+    |w+-| are summed term by term from each state's own entries, with no
+    matrix product, so a result does not depend on which other states or
+    directions share the call.
     """
     rn = functools.reduce(  # (N, 4, m): b.n, then T n
         np.add, (r[:, :, k, np.newaxis] * n_k[..., np.newaxis, :] for k, n_k in terms)
     )
-    p = 0.5 * (1.0 + _SIGNS * rn[:, 0])  # (2, N, m): outcome + then -
+    p = 0.5 * (1.0 + _SIGNS * rn[:, 0])
     w_sq = 0.0
     for i in (1, 2, 3):  # |w+-|^2, one component of w = (a +- T n)/2 at a time
         w = 0.5 * (r[:, i, 0, np.newaxis] + _SIGNS * rn[:, i])
         w_sq = w_sq + w * w
-    ok = p > P_FLOOR
-    x = np.minimum(np.sqrt(w_sq) / np.where(ok, p, 1.0), 1.0)
-    h = np.where(ok, p * _entropy_of_norms(x), 0.0)
+    return p, np.minimum(np.sqrt(w_sq) / np.where(p > P_FLOOR, p, 1.0), 1.0)
+
+
+def _avg_entropy(r, terms):
+    """Average entropy sum_+- p h(|y|) at the directions of ``terms``, (N, m) values.
+
+    Arguments as for ``_outcomes``; outcomes with p <= P_FLOOR contribute 0.
+    """
+    p, x = _outcomes(r, terms)
+    h = np.where(p > P_FLOOR, p * _entropy_of_norms(x), 0.0)
     return h[0] + h[1]
 
 
@@ -228,8 +240,8 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     below ``refine_tol`` radians (> 0), probing xi +- step / 2**j for eight
     halvings j per call.  A result is never above its best node.  Returns
     ``(value, xi)`` for one matrix and ``(values, xis)`` arrays for a
-    stack, with xi folded into [-pi/2, pi/2), so that n3 >= 0 as on the
-    hemisphere grid.
+    stack, xi being the descent's own angle, near [0, pi) but not folded
+    into it: the value is the one at n(xi), bitwise.
 
     Values come from ``_avg_entropy`` with the two terms sin xi and cos xi,
     so a state's result is bitwise the same alone, in any stack and in any
@@ -260,7 +272,6 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     best, xi = _refine_python(
         objective, nodes[k, np.newaxis], vals[np.arange(len(k)), k], d_xi, refine_tol
     )
-    xi = (xi[:, 0] + 0.5 * np.pi) % np.pi - 0.5 * np.pi
     if r.ndim == 2:
-        return float(best[0]), float(xi[0])
-    return best, xi
+        return float(best[0]), float(xi[0, 0])
+    return best, xi[:, 0]

@@ -88,11 +88,24 @@ def _parse_grid(text):
     return grid
 
 
+def _is_number(value):
+    """True for a JSON number (NaN and Infinity included), not for a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric_fields(kind, fields):
+    """``fields`` (name -> value), after checking that every value is a number."""
+    for name, value in fields.items():
+        if not _is_number(value):
+            raise StateLoadError(f"{kind} field {name!r} must be a number, got {value!r}")
+    return fields
+
+
 def _complex_entry(value, row, col):
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(part, (int, float)) for part in value)
+        or not all(_is_number(part) for part in value)
     ):
         raise StateLoadError(
             f"matrix entry ({row}, {col}) must be a [re, im] pair, got {value!r}"
@@ -106,6 +119,8 @@ def load_state(source):
     Exactly one of the schema keys must be present: "matrix" (4x4 of
     [re, im] pairs), "xstate" (a, b, c, d, u, v and optional mu, nu),
     "bell_diagonal" ([t1, t2, t3]) or "mixture" (lambda, alpha, beta).
+    Every field must be a JSON number, not a bool.  Schema errors and
+    out-of-range mixture parameters raise ``StateLoadError``.
     """
     text = source if source.lstrip().startswith("{") else None
     if text is None:
@@ -147,30 +162,23 @@ def load_state(source):
         unknown = body.keys() - required - {"mu", "nu"}
         if unknown:
             raise StateLoadError(f"xstate spec has unknown keys {sorted(unknown)}")
-        return make_x_state(
-            XStateParams(
-                a=body["a"],
-                b=body["b"],
-                c=body["c"],
-                d=body["d"],
-                u=body["u"],
-                v=body["v"],
-                mu=body.get("mu", 0.0),
-                nu=body.get("nu", 0.0),
-            )
-        )
+        return make_x_state(XStateParams(**_numeric_fields(key, body)))
     if key == "bell_diagonal":
         if not isinstance(body, list) or len(body) != 3:
             raise StateLoadError("bell_diagonal spec must be [t1, t2, t3]")
-        return make_bell_diagonal(BellDiagonalParams(*body))
+        fields = _numeric_fields(key, dict(zip(("t1", "t2", "t3"), body)))
+        return make_bell_diagonal(BellDiagonalParams(**fields))
     if not isinstance(body, dict):
         raise StateLoadError("mixture spec must be an object")
     required = {"lambda", "alpha", "beta"}
     if body.keys() != required:
         raise StateLoadError(f"mixture spec needs exactly keys {sorted(required)}")
-    return make_mixture_state(
-        MixtureParams(lam=body["lambda"], alpha=body["alpha"], beta=body["beta"])
-    )
+    fields = _numeric_fields(key, body)
+    try:  # out-of-range parameters describe no state of the family
+        params = MixtureParams(lam=fields["lambda"], alpha=fields["alpha"], beta=fields["beta"])
+    except ValueError as exc:
+        raise StateLoadError(f"mixture spec: {exc}") from exc
+    return make_mixture_state(params)
 
 
 def dump_state(state):

@@ -30,6 +30,7 @@ from ._kernels import (
     _cached_grid,
     _directions,
     _entropy_of_norms,
+    _outcomes,
     _refine_python,
     min_entropy_circle_scan,
 )
@@ -37,9 +38,7 @@ from .discord import (
     BRANCH_EQUI_ENTROPY,
     DEFAULT_GRID,
     CorrelationReport,
-    EnsembleMember,
     ProjectiveMeasurement,
-    _onto_unit_ball,
     brute_force_min_entropy,
     post_measurement_ensemble,
 )
@@ -197,67 +196,48 @@ def _mixture_matrix(lam, alpha, beta):
     return m
 
 
+def _mixture_r(lam, alpha, beta):
+    """Closed-form Pauli coefficient matrix R of mixture states.
+
+    (4, 4) for scalar parameters, (N, 4, 4) for arrays of N: lam z z^T +
+    (1 - lam) u v^T with z = (1, 0, 0, 1), u = (1, sin 2a, 0, cos 2a) and
+    v = (1, sin 2b, 0, cos 2b), the product of the two pure states' Bloch
+    4-vectors, written out entry by entry.  Row and column 2 are exactly
+    zero.  The family's measurement algebra is ``_kernels._outcomes`` (or
+    ``post_measurement_ensemble``) on this R.
+    """
+    w = 1.0 - lam
+    sa, ca = np.sin(2 * alpha), np.cos(2 * alpha)
+    sb, cb = np.sin(2 * beta), np.cos(2 * beta)
+    r = np.zeros(np.shape(lam) + (4, 4))
+    r[..., 0, 0] = 1.0
+    r[..., 0, 1], r[..., 0, 3] = w * sb, lam + w * cb
+    r[..., 1, 0], r[..., 3, 0] = w * sa, lam + w * ca
+    r[..., 1, 1], r[..., 1, 3] = w * sa * sb, w * sa * cb
+    r[..., 3, 1], r[..., 3, 3] = w * ca * sb, lam + w * ca * cb
+    return r
+
+
 def make_mixture_state(p):
     """rho = lam |00><00| + (1 - lam) |psi phi><psi phi|."""
     return TwoQubitState(_mixture_matrix(p.lam, p.alpha, p.beta))
 
 
 def mixture_bloch_a(p):
-    """Bloch vector of the A marginal, ((1-lam) sin 2a, 0, lam + (1-lam) cos 2a)."""
-    w = 1.0 - p.lam
-    return np.array([w * np.sin(2 * p.alpha), 0.0, p.lam + w * np.cos(2 * p.alpha)])
+    """Bloch vector of the A marginal, ((1-lam) sin 2a, 0, lam + (1-lam) cos 2a).
 
-
-class _MixtureArrays(NamedTuple):
-    """Mixture parameters as arrays, one entry per sample (for ``_mixture_outcomes``)."""
-
-    lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
-def _mixture_outcomes(p, x1, x3):
-    """Closed-form p_pm and y_pm for measurement x-vector (1/2, x1, x2, x3).
-
-    The x2 component never enters: the y2 row and column of R vanish.
-    Vectorized over x1, x3 arrays, and over the parameters when ``p`` holds
-    arrays (``_MixtureArrays``).  Returns (p+, p-, y1+, y1-, y3+, y3-);
-    entries where an outcome probability is 0 hold NaN Bloch components.
+    Column 0 of the closed-form R (``_mixture_r``).
     """
-    w = 1.0 - p.lam
-    sa, ca = np.sin(2 * p.alpha), np.cos(2 * p.alpha)
-    sb, cb = np.sin(2 * p.beta), np.cos(2 * p.beta)
-    p_plus = 0.5 + x1 * w * sb + x3 * (p.lam + w * cb)
-    p_minus = 1.0 - p_plus
-    num1 = 0.5 * w * sa
-    bend1 = x1 * w * sa * sb + x3 * w * sa * cb
-    num3 = 0.5 * (p.lam + w * ca)
-    bend3 = x1 * w * ca * sb + x3 * (p.lam + w * ca * cb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y1_plus = np.where(p_plus > P_FLOOR, (num1 + bend1) / p_plus, np.nan)
-        y1_minus = np.where(p_minus > P_FLOOR, (num1 - bend1) / p_minus, np.nan)
-        y3_plus = np.where(p_plus > P_FLOOR, (num3 + bend3) / p_plus, np.nan)
-        y3_minus = np.where(p_minus > P_FLOOR, (num3 - bend3) / p_minus, np.nan)
-    return p_plus, p_minus, y1_plus, y1_minus, y3_plus, y3_minus
+    return _mixture_r(p.lam, p.alpha, p.beta)[1:, 0]
 
 
 def mixture_ensemble(p, m):
-    """Both ensemble members from the family's closed forms.
+    """Both ensemble members: ``post_measurement_ensemble`` on the closed-form R.
 
-    Matches ``post_measurement_ensemble`` on the constructed state; both
-    members satisfy y1 sin(alpha) + (y3 - 1) cos(alpha) = 0 (the line L).
+    No state is built.  Both members satisfy y1 sin(alpha) + (y3 - 1)
+    cos(alpha) = 0 (the line L).
     """
-    n = m.direction
-    pp, pm, y1p, y1m, y3p, y3m = _mixture_outcomes(p, 0.5 * n[0], 0.5 * n[2])
-    members = []
-    for prob, y1, y3 in ((pp, y1p, y3p), (pm, y1m, y3m)):
-        prob = float(prob)
-        if prob <= P_FLOOR:
-            members.append(EnsembleMember(0.0, np.zeros(3), zero_probability=True))
-            continue
-        y = np.array([float(y1), 0.0, float(y3)])
-        members.append(EnsembleMember(min(prob, 1.0), _onto_unit_ball(y, prob)))
-    return tuple(members)
+    return post_measurement_ensemble(_mixture_r(p.lam, p.alpha, p.beta), m)
 
 
 def sample_mixture_params(count, seed):
@@ -283,27 +263,6 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _mixture_r(lam, alpha, beta):
-    """Closed-form Pauli coefficient matrices of mixture states, stacked.
-
-    One (4, 4) R per entry of the parameter arrays: lam z z^T + (1 - lam)
-    u v^T with z = (1, 0, 0, 1), u = (1, sin 2a, 0, cos 2a) and v = (1,
-    sin 2b, 0, cos 2b), the product of the two pure states' Bloch 4-vectors,
-    written out entry by entry as in ``_mixture_outcomes``.  Row and column
-    2 are exactly zero.
-    """
-    w = 1.0 - lam
-    sa, ca = np.sin(2 * alpha), np.cos(2 * alpha)
-    sb, cb = np.sin(2 * beta), np.cos(2 * beta)
-    r = np.zeros((len(lam), 4, 4))
-    r[:, 0, 0] = 1.0
-    r[:, 0, 1], r[:, 0, 3] = w * sb, lam + w * cb
-    r[:, 1, 0], r[:, 3, 0] = w * sa, lam + w * ca
-    r[:, 1, 1], r[:, 1, 3] = w * sa * sb, w * sa * cb
-    r[:, 3, 1], r[:, 3, 3] = w * ca * sb, lam + w * ca * cb
-    return r
-
-
 def _circle_oracle(r, n_polar, refine_tol=1e-6):
     """Exact ``(value, direction)`` minimum for a mixture-family R.
 
@@ -326,25 +285,28 @@ def _circle_oracle(r, n_polar, refine_tol=1e-6):
             "oracle does not apply"
         )
     value, xi = min_entropy_circle_scan(r, n_polar, refine_tol)
-    xi = np.asarray(xi)
-    return value, np.stack((np.sin(xi), np.zeros_like(xi), np.cos(xi)), axis=-1)
+    # n and -n give the same value bitwise: flip to n3 >= 0, as on the
+    # hemisphere grid, keeping n2 at +0.0
+    cos = np.cos(xi)
+    sign = np.where(cos < 0.0, -1.0, 1.0)
+    n1, n3 = sign * np.sin(xi), sign * cos
+    return value, np.stack((n1, np.zeros_like(n1), n3), axis=-1)
 
 
 def _survey_chunk(drawn, n_polar, refine_tol):
     """Circle-oracle optima and equi-entropy gaps of mixture samples, as GapSamples.
 
-    R comes in closed form from the stacked parameters (``_mixture_r``) and
-    the ensemble at each optimum from ``_mixture_outcomes``: no state is
-    built or validated.  An outcome with p <= P_FLOOR has no Bloch vector,
-    so its sample's gap is 0 (the ensemble is one point); a norm that
-    round-off puts above 1 counts as 1, as in the oracle.
+    R comes in closed form from the stacked parameters (``_mixture_r``), and
+    the ensemble at each optimum from the oracle's own outcome map
+    (``_kernels._outcomes``) on that R: no state is built or validated.  An
+    outcome with p <= P_FLOOR has no Bloch vector, so its sample's gap is 0
+    (the ensemble is one point); a norm that round-off puts above 1 counts
+    as 1, as in the oracle.
     """
-    stacked = _MixtureArrays(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T.copy())
-    values, ns = _circle_oracle(_mixture_r(*stacked), n_polar, refine_tol)
-    pp, pm, y1p, y1m, y3p, y3m = _mixture_outcomes(stacked, 0.5 * ns[:, 0], 0.5 * ns[:, 2])
-    norm_plus = np.minimum(np.sqrt(y1p * y1p + y3p * y3p), 1.0)
-    norm_minus = np.minimum(np.sqrt(y1m * y1m + y3m * y3m), 1.0)
-    gaps = np.where((pp > P_FLOOR) & (pm > P_FLOOR), np.abs(norm_plus - norm_minus), 0.0)
+    r = _mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
+    values, ns = _circle_oracle(r, n_polar, refine_tol)
+    prob, norm = _outcomes(r, ((1, ns[:, :1]), (3, ns[:, 2:])))
+    gaps = np.where((prob > P_FLOOR).all(axis=0), np.abs(norm[0] - norm[1]), 0.0)[:, 0]
     return [
         GapSample(
             params=p,
@@ -374,8 +336,9 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     scan visits the 2 (polar - 1) grid nodes that lie on the circle.
 
     Samples go to the oracle in chunks of ``_SURVEY_CHUNK``, each one
-    stacked call, mapped over ``threads`` workers.  R and the optimal
-    ensemble come in closed form from the parameters (``_survey_chunk``).
+    stacked call, mapped over ``threads`` workers.  R comes in closed form
+    from the parameters, and the gap from the oracle's outcome map at the
+    optimum (``_survey_chunk``).
     The stacked scan sums each state's values element by element, so a
     sample's row is bitwise the same whatever the chunking or the thread
     count.
@@ -398,23 +361,22 @@ def _constrained_optimum(p):
     """Maximal |y+| subject to |y+| = |y-| over in-plane measurement angles.
 
     The measurement direction is n(xi) = (sin xi, 0, cos xi); antipodal
-    angles swap the outcomes, so xi runs over [0, pi].  Returns
-    (best |y+|, best xi).  Roots of |y+|^2 - |y-|^2 are located by a
-    dense scan plus bisection; a sign change always exists because the
-    difference is odd under xi -> xi + pi.
+    angles swap the outcomes, so xi runs over [0, pi].  Outcomes come from
+    ``_kernels._outcomes`` on the closed-form R, the circle scan's own
+    arithmetic.  Returns (best |y+|, best xi).  Roots of |y+| - |y-| are
+    located by a dense scan plus bisection; a sign change always exists
+    because the difference is odd under xi -> xi + pi.
     """
+    r = _mixture_r(p.lam, p.alpha, p.beta)[np.newaxis]
     xi = np.linspace(0.0, np.pi, _XI_GRID + 1)
 
-    def arrays(angles):
-        x1 = 0.5 * np.sin(angles)
-        x3 = 0.5 * np.cos(angles)
-        pp, pm, y1p, y1m, y3p, y3m = _mixture_outcomes(p, x1, x3)
-        rp = y1p * y1p + y3p * y3p
-        rm = y1m * y1m + y3m * y3m
-        return pp, pm, rp, rm, rp - rm
+    def outcomes(angles):  # p+- and |y+-| at n(angles), each (2, len(angles))
+        prob, norm = _outcomes(r, ((1, np.sin(angles)), (3, np.cos(angles))))
+        return prob[:, 0], norm[:, 0]
 
-    pp, pm, rp, rm, delta = arrays(xi)
-    valid = (pp > 1e-13) & (pm > 1e-13)
+    prob, norm = outcomes(xi)
+    delta = norm[0] - norm[1]
+    valid = (prob > 1e-13).all(axis=0)
     # points where delta sits at rounding noise are already roots; counting
     # them here also keeps noise wiggles out of the bisection brackets
     noise = 1e-13
@@ -430,7 +392,8 @@ def _constrained_optimum(p):
     lo, hi, lo_positive = xi[i], xi[i + 1], delta[i] > 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        d_mid = arrays(mid)[4]
+        norm_mid = outcomes(mid)[1]
+        d_mid = norm_mid[0] - norm_mid[1]
         same_sign = (d_mid > 0.0) == lo_positive
         new_lo = np.where((d_mid == 0.0) | same_sign, mid, lo)
         new_hi = np.where((d_mid == 0.0) | ~same_sign, mid, hi)
@@ -438,13 +401,15 @@ def _constrained_optimum(p):
             break
         lo, hi = new_lo, new_hi
     mid = 0.5 * (lo + hi)
-    # first largest |y+|^2 over the flat roots, then the brackets in order
-    r_mid = np.nan_to_num(arrays(mid)[2], nan=-1.0)
-    r2 = np.concatenate((np.where(flat, rp, -1.0), r_mid))
-    k = int(np.argmax(r2))
-    if r2[k] < 0.0:
+    # first largest |y+| over the flat roots, then the brackets in order
+    prob_mid, norm_mid = outcomes(mid)
+    radii = np.concatenate(
+        (np.where(flat, norm[0], -1.0), np.where(prob_mid[0] > P_FLOOR, norm_mid[0], -1.0))
+    )
+    k = int(np.argmax(radii))
+    if radii[k] < 0.0:
         raise RuntimeError("no equi-norm measurement found; should be unreachable")
-    return float(np.sqrt(r2[k])), float(np.concatenate((xi, mid))[k])
+    return float(radii[k]), float(np.concatenate((xi, mid))[k])
 
 
 def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):

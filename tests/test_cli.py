@@ -126,6 +126,24 @@ def test_exit_three_on_state_errors(capsys):
     code, _, err = run(capsys, ["compute", "--state", '{"bell_diagonal": [0.8, 0.1, 0.2]}'])
     assert code == 3
     assert "positivity" in err
+    # a field that is not a JSON number, or a mixture parameter out of
+    # range, is a state error naming the field, not a crash or a flag error
+    for spec, field in (
+        ('{"xstate": {"a": "0.25", "b": 0.25, "c": 0.25, "d": 0.25, "u": 0, "v": 0}}', "'a'"),
+        ('{"xstate": {"a": true, "b": 0, "c": 0, "d": 0, "u": 0, "v": 0}}', "'a'"),
+        ('{"bell_diagonal": [null, 0, 0]}', "'t1'"),
+        ('{"mixture": {"lambda": 0.3, "alpha": "x", "beta": 1.1}}', "'alpha'"),
+        ('{"mixture": {"lambda": 0.3, "alpha": NaN, "beta": 1.1}}', "alpha"),
+        ('{"mixture": {"lambda": 0.3, "alpha": 5, "beta": 1.1}}', "alpha"),
+        ('{"foo": 1}', "exactly one of"),
+    ):
+        code, _, err = run(capsys, ["compute", "--state", spec])
+        assert code == 3, spec
+        assert err.startswith("error: ") and field in err
+    # the same range check on a flag stays a flag error
+    code, _, err = run(capsys, ["sweep", "mixture", "--lambda", "2", "--grid-points", "2"])
+    assert code == 2
+    assert "mixing weight" in err
 
 
 NAN_MATRIX = (

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import ginibre_state, random_direction
 
-from discordlab import conjectures
+from discordlab import _kernels, conjectures
+from discordlab._kernels import P_FLOOR
 from discordlab.conjectures import (
     ConjectureViolationError,
     GeneralRParams,
@@ -184,6 +185,18 @@ def test_survey_gaps_match_ensemble_route():
         assert sample.gap == pytest.approx(gap, abs=1e-12 + 64 * np.finfo(float).eps / p_min)
 
 
+def test_circle_oracle_direction_gives_its_value():
+    # n and -n are one measurement: the oracle flips the descent's direction
+    # to n3 >= 0, with n2 = +0.0, and the value there is the returned one,
+    # bitwise (no angle is folded after the descent)
+    drawn = sample_mixture_params(200, 5)
+    r = conjectures._mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
+    values, ns = conjectures._circle_oracle(r, 181, 1e-9)
+    assert (ns[:, 2] >= 0.0).all() and not np.signbit(ns[:, 1]).any()
+    direct = [_kernels.avg_entropy_numpy(one, n[np.newaxis])[0] for one, n in zip(r, ns)]
+    assert values.tobytes() == np.array(direct).tobytes()
+
+
 def test_circle_oracle_matches_grid_oracle():
     # the survey's exact x-z circle oracle against the independent 2-D grid
     # oracle; samples 435 and 510 have a rare outcome with p ~ 1e-8 and a
@@ -220,10 +233,16 @@ def test_gap_sample_requires_vanishing_y_column(monkeypatch, rng, route):
         "_mixture_matrix",
         lambda lam, alpha, beta: bad if beta > 0.0 else mixture(lam, alpha, beta),
     )
-    # the survey builds R in closed form, stacked, rather than from the state
+    # the survey (stacked) and the constrained maximiser (one state) build R
+    # in closed form rather than from the state
     bad_r = pauli_expansion(TwoQubitState(bad)).entries
+    mixture_r = conjectures._mixture_r
     monkeypatch.setattr(
-        conjectures, "_mixture_r", lambda lam, alpha, beta: np.array([bad_r] * len(lam))
+        conjectures,
+        "_mixture_r",
+        lambda lam, alpha, beta: np.where(
+            np.reshape(beta, np.shape(beta) + (1, 1)) > 0.0, bad_r, mixture_r(lam, alpha, beta)
+        ),
     )
     with pytest.raises(RuntimeError, match=r"R\[:, 2\]"):
         route()
@@ -296,22 +315,21 @@ def test_conjecture_violation_error_payload():
 def _constrained_optimum_per_bracket(p):
     # the maximizer's former scalar loop: one bisection per bracket in turn
     xi = np.linspace(0.0, np.pi, conjectures._XI_GRID + 1)
+    r = conjectures._mixture_r(p.lam, p.alpha, p.beta)[np.newaxis]
 
     def arrays(angles):
-        pp, pm, y1p, y1m, y3p, y3m = conjectures._mixture_outcomes(
-            p, 0.5 * np.sin(angles), 0.5 * np.cos(angles)
-        )
-        rp = y1p * y1p + y3p * y3p
-        return pp, pm, rp, rp - (y1m * y1m + y3m * y3m)
+        prob, norm = _kernels._outcomes(r, ((1, np.sin(angles)), (3, np.cos(angles))))
+        (pp, pm), (rp, rm) = prob[:, 0], norm[:, 0]
+        return pp, pm, rp, rp - rm
 
     pp, pm, rp, delta = arrays(xi)
     valid = (pp > 1e-13) & (pm > 1e-13)
-    best_r2, best_xi = -1.0, 0.0
+    best_r, best_xi = -1.0, 0.0
     noise = 1e-13
     flat = valid & (np.abs(delta) <= noise)
     if flat.any():
         idx = int(np.argmax(np.where(flat, rp, -1.0)))
-        best_r2, best_xi = float(rp[idx]), float(xi[idx])
+        best_r, best_xi = float(rp[idx]), float(xi[idx])
     sign_change = (
         valid[:-1]
         & valid[1:]
@@ -332,11 +350,11 @@ def _constrained_optimum_per_bracket(p):
             else:
                 hi = mid
         mid = 0.5 * (lo + hi)
-        r_mid = arrays(np.array([mid]))[2]
-        if r_mid[0] > best_r2:
-            best_r2, best_xi = float(r_mid[0]), float(mid)
-    assert best_r2 >= 0.0
-    return float(np.sqrt(best_r2)), best_xi
+        p_mid, _, r_mid, _ = arrays(np.array([mid]))
+        if p_mid[0] > P_FLOOR and r_mid[0] > best_r:
+            best_r, best_xi = float(r_mid[0]), float(mid)
+    assert best_r >= 0.0
+    return best_r, best_xi
 
 
 def test_constrained_optimum_matches_per_bracket_bisection():
@@ -351,16 +369,16 @@ def test_constrained_optimum_matches_per_bracket_bisection():
 
 
 def test_constrained_optimum_stops_when_no_bracket_moves(monkeypatch):
-    # 80 bisection steps plus the scan and the final midpoints make 82 calls;
-    # brackets stop moving once lo and hi are adjacent floats
+    # 80 bisection steps plus the scan and the final midpoints make 82 calls
+    # of the outcome map; brackets stop moving once lo and hi are adjacent floats
     calls = []
-    outcomes = conjectures._mixture_outcomes
+    outcomes = conjectures._outcomes
 
-    def counting(p, x1, x3):
+    def counting(r, terms):
         calls[-1] += 1
-        return outcomes(p, x1, x3)
+        return outcomes(r, terms)
 
-    monkeypatch.setattr(conjectures, "_mixture_outcomes", counting)
+    monkeypatch.setattr(conjectures, "_outcomes", counting)
     for p in sample_mixture_params(300, 17):
         calls.append(0)
         conjectures._constrained_optimum(p)

@@ -26,6 +26,18 @@ def test_grid_directions_unit_norm():
     assert tt.max() == pytest.approx(np.pi / 2)
 
 
+def _assert_outcomes_match_ensemble(r, n):
+    # the outcome map's p+- and clamped |y+-| against the scalar ensemble
+    # route; |y| carries a round-off error of order eps / p
+    members = post_measurement_ensemble(r, ProjectiveMeasurement(n))
+    prob, norm = _kernels._outcomes(r[np.newaxis], enumerate(n[:, np.newaxis], 1))
+    for member, p, x in zip(members, prob[:, 0, 0], norm[:, 0, 0]):
+        assert member.probability == pytest.approx(p, abs=1e-12)
+        if not member.zero_probability:
+            tol = 1e-12 + 64 * np.finfo(float).eps / p
+            assert x == pytest.approx(min(np.linalg.norm(member.bloch), 1.0), abs=tol)
+
+
 def test_avg_entropy_numpy_matches_ensemble_route(rng):
     for _ in range(15):
         r = pauli_expansion(ginibre_state(rng)).entries
@@ -35,6 +47,14 @@ def test_avg_entropy_numpy_matches_ensemble_route(rng):
         )
         vectorized = _kernels.avg_entropy_numpy(r, n[np.newaxis, :])[0]
         assert vectorized == pytest.approx(direct, abs=1e-12)
+        _assert_outcomes_match_ensemble(r, n)
+    # sample 103 of seed 9 measured along z: a rare outcome, p- ~ 7.9e-8
+    p = conjectures.sample_mixture_params(200, 9)[103]
+    r = pauli_expansion(conjectures.make_mixture_state(p)).entries
+    n = np.array([0.0, 0.0, 1.0])
+    prob, _ = _kernels._outcomes(r[np.newaxis], enumerate(n[:, np.newaxis], 1))
+    assert prob[1, 0, 0] == pytest.approx(7.9e-8, rel=0.01)
+    _assert_outcomes_match_ensemble(r, n)
 
 
 def test_scan_never_above_grid_nodes(rng):
@@ -146,11 +166,11 @@ def test_circle_scan_stack_rows_match_single_calls(rng):
         xis = np.concatenate([part[1] for part in parts])
         assert values.tobytes() == single[:, 0].tobytes()
         assert xis.tobytes() == single[:, 1].tobytes()
-    # the same minima as avg_entropy_numpy at the returned directions, to the
-    # rounding of folding xi into [-pi/2, pi/2) after the descent
+    # bitwise the values of avg_entropy_numpy at the returned directions: xi
+    # is the descent's own angle, not folded after it
     ns = np.column_stack((np.sin(single[:, 1]), np.zeros(len(stack)), np.cos(single[:, 1])))
     direct = [_kernels.avg_entropy_numpy(r, n[np.newaxis])[0] for r, n in zip(stack, ns)]
-    np.testing.assert_allclose(single[:, 0], direct, rtol=0.0, atol=1e-14)
+    assert single[:, 0].tobytes() == np.array(direct).tobytes()
     with pytest.raises(ValueError, match="4x4"):
         _kernels.min_entropy_circle_scan(np.zeros((2, 3, 3)), 7)
     with pytest.raises(ValueError, match="4x4"):
