@@ -88,6 +88,16 @@ def _parse_grid(text):
     return grid
 
 
+def _grid_points(text):
+    try:
+        points = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 points per axis, got {points}")
+    return points
+
+
 def _is_number(value):
     """True for a JSON number (NaN and Infinity included), not for a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -585,7 +595,7 @@ def _build_parser():
     sweep_mix.add_argument("--lambda", dest="lam", type=float, required=True)
     # default 37: pi/6 and the beta mirror pairs land exactly on grid nodes
     sweep_mix.add_argument(
-        "--grid-points", "--grid", dest="grid_points", type=int, default=37
+        "--grid-points", "--grid", dest="grid_points", type=_grid_points, default=37
     )
     sweep_mix.add_argument(
         "--oracle-grid", type=_parse_grid, default=DEFAULT_GRID, help=polar_only

@@ -187,12 +187,18 @@ class ClassifiedState:
 
 
 def _mixture_matrix(lam, alpha, beta):
-    psi = np.array([np.cos(alpha), np.sin(alpha)])
-    phi = np.array([np.cos(beta), np.sin(beta)])
-    pure = np.kron(psi, phi).astype(np.complex128)
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 0] = lam
-    m += (1.0 - lam) * np.outer(pure, pure.conj())
+    """Unvalidated density matrix of mixture states: (4, 4) for scalar
+    parameters, (N, 4, 4) for arrays of N, entry by entry the arithmetic of
+    ``np.kron`` and ``np.outer`` on one state."""
+    psi = np.stack((np.cos(alpha), np.sin(alpha)), axis=-1)
+    phi = np.stack((np.cos(beta), np.sin(beta)), axis=-1)
+    shape = np.shape(lam)
+    pure = (psi[..., :, np.newaxis] * phi[..., np.newaxis, :]).reshape(shape + (4,))
+    pure = pure.astype(np.complex128)
+    m = np.zeros(shape + (4, 4), dtype=np.complex128)
+    m[..., 0, 0] = lam
+    w = np.reshape(1.0 - lam, shape + (1, 1))
+    m += w * (pure[..., :, np.newaxis] * pure.conj()[..., np.newaxis, :])
     return m
 
 
@@ -357,59 +363,169 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     )
 
 
-def _constrained_optimum(p):
-    """Maximal |y+| subject to |y+| = |y-| over in-plane measurement angles.
+def _constrained_optimum(r):
+    """Maximal |y+| subject to |y+| = |y-| over in-plane measurement angles, per state.
 
-    The measurement direction is n(xi) = (sin xi, 0, cos xi); antipodal
-    angles swap the outcomes, so xi runs over [0, pi].  Outcomes come from
-    ``_kernels._outcomes`` on the closed-form R, the circle scan's own
-    arithmetic.  Returns (best |y+|, best xi).  Roots of |y+| - |y-| are
-    located by a dense scan plus bisection; a sign change always exists
-    because the difference is odd under xi -> xi + pi.
+    ``r`` is an (N, 4, 4) stack of the family's R (``_mixture_r``).  The
+    measurement direction is n(xi) = (sin xi, 0, cos xi); antipodal angles
+    swap the outcomes, so xi runs over [0, pi].  Outcomes come from
+    ``_kernels._outcomes``, the circle scan's own arithmetic, so a state's
+    result does not depend on the others in the stack.  Roots of |y+| -
+    |y-| are located by a dense scan of each state on its own, which keeps
+    only that state's best flat root and its brackets, then one bisection of every
+    state's brackets at once until no bracket moves; a sign change always
+    exists because the difference is odd under xi -> xi + pi.
+
+    |y| carries a round-off error of order eps / p, so the root taken is
+    the one whose radius less its bound 64 eps / min(p+, p-) is largest,
+    the first in order on ties (flat roots by xi, then brackets).  On a
+    product state every xi is a root, and the largest radius alone would
+    be a rare outcome's overshoot.  Returns ``(radii, xis)``, arrays of N.
     """
-    r = _mixture_r(p.lam, p.alpha, p.beta)[np.newaxis]
     xi = np.linspace(0.0, np.pi, _XI_GRID + 1)
-
-    def outcomes(angles):  # p+- and |y+-| at n(angles), each (2, len(angles))
-        prob, norm = _outcomes(r, ((1, np.sin(angles)), (3, np.cos(angles))))
-        return prob[:, 0], norm[:, 0]
-
-    prob, norm = outcomes(xi)
-    delta = norm[0] - norm[1]
-    valid = (prob > 1e-13).all(axis=0)
+    terms = ((1, np.sin(xi)), (3, np.cos(xi)))
+    bound = 64 * np.finfo(np.float64).eps
     # points where delta sits at rounding noise are already roots; counting
     # them here also keeps noise wiggles out of the bisection brackets
     noise = 1e-13
-    flat = valid & (np.abs(delta) <= noise)
-    sign_change = (
-        valid[:-1]
-        & valid[1:]
-        & (delta[:-1] * delta[1:] < 0.0)
-        & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
-    )
-    # bisect all brackets at once until a step moves none; an exact root sets lo = hi = mid
-    i = np.flatnonzero(sign_change)
-    lo, hi, lo_positive = xi[i], xi[i + 1], delta[i] > 0.0
+    flat_roots, brackets = [], []  # per state: its best flat root; its (lo, hi, lo_positive)
+    for one in r:
+        prob, norm = _outcomes(one[np.newaxis], terms)
+        prob, norm = prob[:, 0], norm[:, 0]
+        delta = norm[0] - norm[1]
+        valid = (prob > 1e-13).all(axis=0)
+        flat = np.flatnonzero(valid & (np.abs(delta) <= noise))
+        if len(flat):
+            k = flat[np.argmax(norm[0, flat] - bound / prob[:, flat].min(axis=0))]
+            flat_roots.append((norm[0, k], prob[:, k].min(), xi[k]))
+        else:
+            flat_roots.append((-np.inf, 1.0, 0.0))  # loses to any root
+        i = np.flatnonzero(
+            valid[:-1]
+            & valid[1:]
+            & (delta[:-1] * delta[1:] < 0.0)
+            & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
+        )
+        brackets.append((xi[i], xi[i + 1], delta[i] > 0.0))
+
+    def outcomes(states, angles):  # p+- and |y+-| of one angle per bracket, each (2, len(angles))
+        prob, norm = _outcomes(
+            r[states], ((1, np.sin(angles)[:, np.newaxis]), (3, np.cos(angles)[:, np.newaxis]))
+        )
+        return prob[..., 0], norm[..., 0]
+
+    # bisect every bracket of every state at once; a bracket that did not
+    # move never moves again, and an exact root sets lo = hi = mid
+    owner = np.repeat(np.arange(len(r)), [len(b[0]) for b in brackets])
+    lo, hi, lo_positive = (np.concatenate(column) for column in zip(*brackets))
+    moving = np.arange(len(lo))
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        norm_mid = outcomes(mid)[1]
-        d_mid = norm_mid[0] - norm_mid[1]
-        same_sign = (d_mid > 0.0) == lo_positive
-        new_lo = np.where((d_mid == 0.0) | same_sign, mid, lo)
-        new_hi = np.where((d_mid == 0.0) | ~same_sign, mid, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        if not len(moving):
             break
-        lo, hi = new_lo, new_hi
+        was_lo, was_hi = lo[moving], hi[moving]
+        mid = 0.5 * (was_lo + was_hi)
+        norm_mid = outcomes(owner[moving], mid)[1]
+        d_mid = norm_mid[0] - norm_mid[1]
+        same_sign = (d_mid > 0.0) == lo_positive[moving]
+        lo[moving] = np.where((d_mid == 0.0) | same_sign, mid, was_lo)
+        hi[moving] = np.where((d_mid == 0.0) | ~same_sign, mid, was_hi)
+        moving = moving[(lo[moving] != was_lo) | (hi[moving] != was_hi)]
     mid = 0.5 * (lo + hi)
-    # first largest |y+| over the flat roots, then the brackets in order
-    prob_mid, norm_mid = outcomes(mid)
-    radii = np.concatenate(
-        (np.where(flat, norm[0], -1.0), np.where(prob_mid[0] > P_FLOOR, norm_mid[0], -1.0))
+    prob_mid, norm_mid = outcomes(owner, mid)
+    kept = (prob_mid > P_FLOOR).all(axis=0)
+
+    # candidates in order: each state's best flat root, then its brackets
+    state = np.concatenate((np.arange(len(r)), owner[kept]))
+    radius, p_min, angle = (
+        np.concatenate((np.array(column), extra))
+        for column, extra in zip(
+            zip(*flat_roots), (norm_mid[0, kept], prob_mid[:, kept].min(axis=0), mid[kept])
+        )
     )
-    k = int(np.argmax(radii))
-    if radii[k] < 0.0:
+    lower = radius - bound / p_min
+    order = np.lexsort((-lower, state))  # stable: the first candidate on ties
+    first = order[np.r_[True, state[order][1:] != state[order][:-1]]]
+    if not np.isfinite(lower[first]).all():
         raise RuntimeError("no equi-norm measurement found; should be unreachable")
-    return float(radii[k]), float(np.concatenate((xi, mid))[k])
+    return radius[first], angle[first]
+
+
+class _MixtureStack(NamedTuple):
+    """Mixture states as arrays, one entry per state: parameters, closed-form
+    R, the circle oracle's minimum and direction, I and S(rho_A)."""
+
+    lam: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    r: np.ndarray
+    oracle_value: np.ndarray
+    oracle_n: np.ndarray
+    info: np.ndarray
+    s_a: np.ndarray
+
+
+def _mixture_stack(lam, alpha, beta, n_polar, threads=1):
+    """One stacked pass over the mixture states of the parameter arrays.
+
+    R comes in closed form (``_mixture_r``) and goes to the exact circle
+    oracle in chunks of ``_SURVEY_CHUNK``, mapped over ``threads``
+    workers; I and S(rho_A) come from stacked ``eigvalsh`` calls on the
+    family's density matrices (``_mixture_matrix``).  No state is built,
+    and every entry is bitwise the same whatever the chunking or threads.
+    """
+    r = _mixture_r(lam, alpha, beta)
+    chunks = [r[i : i + _SURVEY_CHUNK] for i in range(0, len(r), _SURVEY_CHUNK)]
+    done = _parallel_map(lambda chunk: _circle_oracle(chunk, n_polar), chunks, threads)
+    rho = _mixture_matrix(lam, alpha, beta)
+    return _MixtureStack(
+        lam,
+        alpha,
+        beta,
+        r,
+        np.concatenate([value for value, _ in done]),
+        np.concatenate([n for _, n in done]),
+        mutual_information(rho),
+        von_neumann_entropy(partial_trace(rho, "A")),
+    )
+
+
+def _conjecture_reports(stack):
+    """Correlation reports of a ``_MixtureStack``'s states, assuming the conjecture.
+
+    The constrained maximiser runs on the whole stack; C = S(rho^A) -
+    h(|y+|*), with S(rho^A) from the norm of R's column 0.  The stack's
+    oracle values are the guard: a disagreement beyond 1e-4 bits raises
+    :class:`ConjectureViolationError` with the counterexample attached.
+    """
+    radii, xis = _constrained_optimum(stack.r)
+    reports = []
+    for k, (radius, xi) in enumerate(zip(radii, xis)):
+        value = binary_entropy(radius)
+        if abs(value - stack.oracle_value[k]) > 1e-4:
+            p = MixtureParams(lam=stack.lam[k], alpha=stack.alpha[k], beta=stack.beta[k])
+            raise ConjectureViolationError(
+                f"constrained optimum {value:.9g} vs oracle {stack.oracle_value[k]:.9g} "
+                f"at lam={p.lam:.9g} alpha={p.alpha:.9g} beta={p.beta:.9g}",
+                params=p,
+                constrained=value,
+                unconstrained=float(stack.oracle_value[k]),
+                measurement=ProjectiveMeasurement(stack.oracle_n[k]),
+            )
+        measurement = ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
+        info = float(stack.info[k])
+        classical = binary_entropy(np.linalg.norm(stack.r[k, 1:, 0])) - value
+        reports.append(
+            CorrelationReport(
+                mutual_info=info,
+                classical=classical,
+                discord=info - classical,
+                min_avg_entropy=value,
+                optimal_measurement=measurement,
+                optimal_ensemble=post_measurement_ensemble(stack.r[k], measurement),
+                branch=BRANCH_EQUI_ENTROPY,
+            )
+        )
+    return reports
 
 
 def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
@@ -420,36 +536,11 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     which does not assume the conjecture, runs alongside as a guard:
     disagreement beyond 1e-4 bits raises :class:`ConjectureViolationError`
     with the counterexample attached.  ``grid`` is read for its polar
-    count only.
+    count only.  This is the one-state call of the sweep's stacked pass
+    (``_mixture_stack`` and ``_conjecture_reports``).
     """
-    radius, xi = _constrained_optimum(p)
-    value = binary_entropy(radius)
-    measurement = ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
-
-    state = make_mixture_state(p)
-    oracle_value, oracle_n = _circle_oracle(pauli_expansion(state).entries, grid[0])
-    if abs(value - oracle_value) > 1e-4:
-        raise ConjectureViolationError(
-            f"constrained optimum {value:.9g} vs oracle {oracle_value:.9g} "
-            f"at lam={p.lam:.9g} alpha={p.alpha:.9g} beta={p.beta:.9g}",
-            params=p,
-            constrained=value,
-            unconstrained=oracle_value,
-            measurement=ProjectiveMeasurement(oracle_n),
-        )
-
-    info = mutual_information(state)
-    s_a = binary_entropy(np.linalg.norm(mixture_bloch_a(p)))
-    classical = s_a - value
-    return CorrelationReport(
-        mutual_info=info,
-        classical=classical,
-        discord=info - classical,
-        min_avg_entropy=value,
-        optimal_measurement=measurement,
-        optimal_ensemble=mixture_ensemble(p, measurement),
-        branch=BRANCH_EQUI_ENTROPY,
-    )
+    params = (np.array([v], dtype=np.float64) for v in (p.lam, p.alpha, p.beta))
+    return _conjecture_reports(_mixture_stack(*params, grid[0]))[0]
 
 
 def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
@@ -463,27 +554,39 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     directly, which does not assume the conjecture, so the two halves
     agreeing is a cross-check, not a construction.  ``oracle_grid`` is
     read for its polar count only.
+
+    All cells make one stacked pass (``_mixture_stack``): closed-form R,
+    the circle oracle in chunks over ``threads`` workers, which gives the
+    mirror cells' minimum and the guard of the others, and I and S(rho_A)
+    from stacked ``eigvalsh`` calls.  The constrained cells then go to
+    ``_conjecture_reports`` as one stack.  Rows do not depend on
+    ``threads``.  Raises ValueError if ``lam`` lies outside [0, 1] or
+    ``grid_points`` is below 2.
     """
-    alphas = np.linspace(0.0, np.pi / 2, grid_points)
-    betas = np.linspace(0.0, np.pi, grid_points)
-    cells = [(a, b) for a in alphas for b in betas]
-
-    def one(cell):
-        a, b = cell
-        if b <= np.pi / 2 + 1e-12:
-            report = mixture_correlations_via_conjecture(
-                MixtureParams(lam=lam, alpha=a, beta=min(b, np.pi / 2)),
-                grid=oracle_grid,
-            )
-            return (a, b, report.mutual_info, report.classical, report.discord)
-        state = TwoQubitState(_mixture_matrix(lam, a, b))
-        value, _ = _circle_oracle(pauli_expansion(state).entries, oracle_grid[0])
-        s_a = von_neumann_entropy(partial_trace(state, "A"))
-        info = mutual_information(state)
-        classical = s_a - value
-        return (a, b, info, classical, info - classical)
-
-    return _parallel_map(one, cells, threads)
+    MixtureParams(lam=lam, alpha=0.0, beta=0.0)  # the range check on lam
+    if grid_points < 2:
+        raise ValueError(f"need at least 2 grid points per axis, got {grid_points!r}")
+    alpha, beta = (
+        axis.ravel()
+        for axis in np.meshgrid(
+            np.linspace(0.0, np.pi / 2, grid_points),
+            np.linspace(0.0, np.pi, grid_points),
+            indexing="ij",
+        )
+    )
+    constrained = beta <= np.pi / 2 + 1e-12
+    stack = _mixture_stack(
+        np.full(alpha.shape, lam, dtype=np.float64),
+        alpha,
+        np.where(constrained, np.minimum(beta, np.pi / 2), beta),
+        oracle_grid[0],
+        threads,
+    )
+    reports = _conjecture_reports(_MixtureStack(*(field[constrained] for field in stack)))
+    classical = stack.s_a - stack.oracle_value
+    columns = np.stack((stack.info, classical, stack.info - classical), axis=-1)
+    columns[constrained] = [(rep.mutual_info, rep.classical, rep.discord) for rep in reports]
+    return [(a, b, *row) for a, b, row in zip(alpha.tolist(), beta.tolist(), columns.tolist())]
 
 
 class _TemplateDraws(NamedTuple):

@@ -270,17 +270,18 @@ def reconstruct_state(r):
 
 
 def partial_trace(state, keep="A"):
-    """Reduced 2x2 density matrix of one qubit.
+    """Reduced 2x2 density matrix of one qubit, or one per matrix of an (N, 4, 4) stack.
 
     Parameters
     ----------
     keep : "A" to trace out qubit B, "B" to trace out qubit A.
     """
-    rho = _as_matrix(state).reshape(2, 2, 2, 2)
+    rho = _as_matrix(state)
+    rho = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep in ("A", "a"):
-        return np.einsum("ikjk->ij", rho)
+        return np.einsum("...ikjk->...ij", rho)
     if keep in ("B", "b"):
-        return np.einsum("kikj->ij", rho)
+        return np.einsum("...kikj->...ij", rho)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -293,20 +294,23 @@ def bloch_vector(rho_qubit):
 def von_neumann_entropy(state):
     """Von Neumann entropy in bits of a density matrix of any dimension.
 
-    Eigenvalues within rounding tolerance of 0 or 1 are clamped before the
-    logarithm; an eigenvalue below -1e-10 raises InvalidStateError.
+    A stack of N matrices gives an array of N entropies from one stacked
+    ``eigvalsh``, each bitwise its matrix's single call.  Eigenvalues
+    within rounding tolerance of 0 or 1 are clamped before the logarithm;
+    an eigenvalue below -1e-10 raises InvalidStateError.
     """
     rho = _as_matrix(state)
     lam = np.linalg.eigvalsh(rho)
     if lam.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"negative eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
+    positive = lam > 0.0
+    s = -np.where(positive, lam * np.log2(np.where(positive, lam, 1.0)), 0.0).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def mutual_information(state):
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB), in bits."""
+    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB), in bits; an array for a stack."""
     sa = von_neumann_entropy(partial_trace(state, "A"))
     sb = von_neumann_entropy(partial_trace(state, "B"))
     return sa + sb - von_neumann_entropy(state)

@@ -93,6 +93,13 @@ def test_exit_two_on_flag_errors(capsys):
     assert run(capsys, ["compute", "--state", X_SPEC, "--bogus"])[0] == 2
     assert run(capsys, ["compute"])[0] == 2
     assert run(capsys, ["nonsense"])[0] == 2
+    # a sweep needs two grid points per axis; numpy's own error used to
+    # surface for -3, and 0 wrote a header-only CSV with exit 0
+    for points in ("0", "-3"):
+        argv = ["sweep", "mixture", "--lambda", "0.3", "--grid-points", points]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "--grid-points" in err and "at least 2" in err
 
 
 def test_exit_two_on_threads_below_one(capsys, monkeypatch):
@@ -411,11 +418,23 @@ def test_sweep_mixture_csv(capsys):
     assert max(betas) == pytest.approx(np.pi)  # full beta range by default
 
 
+def test_sweep_mixture_threads_do_not_change_output(capsys):
+    argv = ["sweep", "mixture", "--lambda", "0.3", "--grid-points", "6"]
+    code, serial, _ = run(capsys, argv + ["--threads", "1"])
+    assert code == 0
+    code, threaded, _ = run(capsys, argv + ["--threads", "2"])
+    assert code == 0
+    # only the provenance line that echoes the command differs
+    assert serial.replace("--threads 1", "--threads 2") == threaded
+
+
 def test_exit_five_on_internal_error(capsys, monkeypatch, rng):
     # a non-mixture R breaks the circle oracle's invariant: an internal
     # fault, reported on stderr rather than as a traceback or a flag error
-    bad = ginibre_state(rng).matrix
-    monkeypatch.setattr(conjectures, "_mixture_matrix", lambda lam, a, b: bad)
+    bad = pauli_expansion(ginibre_state(rng)).entries
+    monkeypatch.setattr(
+        conjectures, "_mixture_r", lambda lam, a, b: np.broadcast_to(bad, np.shape(lam) + (4, 4))
+    )
     argv = ["sweep", "mixture", "--lambda", "0.3", "--grid-points", "2"]
     code, _, err = run(capsys, argv)
     assert code == 5
