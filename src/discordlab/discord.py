@@ -136,7 +136,7 @@ class CorrelationReport:
 
     def __post_init__(self):
         if self.branch not in (BRANCH_QUASI_EIGEN, BRANCH_EQUI_ENTROPY, BRANCH_NUMERIC):
-            raise ValueError(f"unknown branch label {self.branch!r}")
+            raise InternalInvariantError(f"unknown branch label {self.branch!r}")
         if abs(self.mutual_info - self.classical - self.discord) > 1e-9:
             raise InternalInvariantError("I = C + Q violated beyond 1e-9")
         if self.classical < -1e-9 or self.discord < -1e-9:

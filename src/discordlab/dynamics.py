@@ -1,16 +1,18 @@
 """Decoherence dynamics of two-qubit correlations.
 
-Under phase damping on both qubits (Kraus pair K1 = diag(gamma, 1),
-K2 = diag(sqrt(1 - gamma^2), 0), gamma = exp(-rate * t)) the diagonal of
-an X state is untouched while the coherences scale as u -> gamma^2 u,
-v -> gamma^2 v.  Geometrically the steering ellipsoid keeps its vertical
-axis, its center and Alice's local state, while the in-plane axes shrink
-by gamma^2.  The equi-entropy candidate S_EF therefore grows with time
-and the quasi-eigen candidate S_GH stays put: the optimal branch can
-switch once, from equi_entropy to quasi_eigen, at a critical time t_bar
-where the classical correlation develops a kink and stays constant
-afterwards.  Amplitude damping and Pauli channels are provided as well;
-they preserve the X form but carry no constancy claim.
+A local channel acts on the Pauli coefficient matrix R as R -> Lambda_A R
+Lambda_B^T, with each qubit's 4x4 Pauli transfer matrix Lambda.  Phase
+damping, Lambda = diag(1, gamma, gamma, 1) with gamma = exp(-rate * t), on
+both qubits leaves the diagonal of an X state untouched while the
+coherences scale as u -> gamma^2 u, v -> gamma^2 v.  Geometrically the
+steering ellipsoid keeps its vertical axis, its center and Alice's local
+state, while the in-plane axes shrink by gamma^2.  The equi-entropy
+candidate S_EF therefore grows with time and the quasi-eigen candidate
+S_GH stays put: the optimal branch can switch once, from equi_entropy to
+quasi_eigen, at a critical time t_bar where the classical correlation
+develops a kink and stays constant afterwards.  Amplitude damping and
+Pauli channels are provided as well; they preserve the X form but carry
+no constancy claim.
 """
 
 import re
@@ -27,10 +29,11 @@ from .discord import (
 )
 from .qstate import (
     BellDiagonalParams,
-    TwoQubitState,
     XStateParams,
     binary_entropy,
     extract_x_params,
+    pauli_expansion,
+    reconstruct_state,
 )
 
 __all__ = [
@@ -104,34 +107,21 @@ class Trajectory:
         object.__setattr__(self, "reports", tuple(self.reports))
 
 
-def _kraus_apply(rho, kraus, both_parties):
-    m = rho.matrix
-    eye = np.eye(2, dtype=np.complex128)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    if both_parties:
-        ops = [np.kron(ki, kj) for ki in kraus for kj in kraus]
-    else:
-        ops = [np.kron(eye, kj) for kj in kraus]  # channel on the measured qubit B
-    for op in ops:
-        out += op @ m @ op.conj().T
-    return TwoQubitState(out)
+def _transfer(name, strength):
+    """4x4 Pauli transfer matrix of a named single-qubit channel.
 
-
-def apply_channel(rho, ch, both_parties=True):
-    """Phase damping applied to both qubits, or to qubit B alone."""
-    return _kraus_apply(rho, ch.kraus, both_parties)
-
-
-def _named_kraus(name, strength):
+    The channel maps a Bloch vector r to the last three entries of
+    Lambda (1, r); row 0 is (1, 0, 0, 0), so the trace is kept.
+    """
     if name == "phase_damping":
-        return PhaseDampingChannel(gamma=float(strength)).kraus
+        g = PhaseDampingChannel(gamma=float(strength)).gamma
+        return np.diag([1.0, g, g, 1.0])
     if name == "amplitude_damping":
         p = float(strength)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"amplitude damping strength must lie in [0, 1], got {p!r}")
-        k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=np.complex128)
-        k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=np.complex128)
-        return k0, k1
+        s = np.sqrt(1.0 - p)
+        return np.array([[1, 0, 0, 0], [0, s, 0, 0], [0, 0, s, 0], [p, 0, 0, 1 - p]], float)
     match = _PAULI_NAME.match(name.replace(" ", ""))
     if match:
         base = np.array([float(g) for g in match.groups()])
@@ -140,17 +130,26 @@ def _named_kraus(name, strength):
             raise ValueError(f"Pauli probabilities {probs!r} invalid at strength {strength!r}")
         probs = np.clip(probs, 0.0, 1.0)
         p0 = max(1.0 - probs.sum(), 0.0)
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-        sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-        eye = np.eye(2, dtype=np.complex128)
-        return tuple(
-            np.sqrt(w) * op for w, op in zip([p0, *probs], [eye, sx, sy, sz])
-        )
+        px, py, pz = probs
+        return np.diag([1.0, p0 + px - py - pz, p0 - px + py - pz, p0 - px - py + pz])
     raise ValueError(
         f"unknown channel {name!r}; expected phase_damping, amplitude_damping "
         "or pauli(px,py,pz)"
     )
+
+
+def _apply(rho, lam, both_parties):
+    # an X state's R lives on the {1, sigma_z} and {sigma_x, sigma_y}
+    # blocks; a map that keeps the two blocks apart keeps the X shape
+    if lam[np.ix_([0, 3], [1, 2])].any() or lam[np.ix_([1, 2], [0, 3])].any():
+        raise RuntimeError("channel map mixes {1, sigma_z} with {sigma_x, sigma_y}")
+    r = pauli_expansion(rho).entries @ lam.T  # channel on the measured qubit B
+    return reconstruct_state(lam @ r if both_parties else r)
+
+
+def apply_channel(rho, ch, both_parties=True):
+    """Phase damping applied to both qubits, or to qubit B alone."""
+    return _apply(rho, _transfer("phase_damping", ch.gamma), both_parties)
 
 
 def apply_named_channel(rho, name, strength, both_parties=True):
@@ -158,14 +157,12 @@ def apply_named_channel(rho, name, strength, both_parties=True):
 
     Channels: phase_damping (strength = gamma), amplitude_damping
     (strength = decay probability p), pauli(px,py,pz) (strength scales
-    the three flip probabilities).  All three preserve the X shape; this
-    is asserted after the fact for X-shaped inputs.
+    the three flip probabilities).  The channel's transfer matrix Lambda
+    maps R to Lambda R Lambda^T (R Lambda^T for B alone).  All three keep
+    the X shape; a Lambda that mixes {1, sigma_z} with {sigma_x, sigma_y}
+    raises RuntimeError.
     """
-    was_x = extract_x_params(rho) is not None
-    out = _kraus_apply(rho, _named_kraus(name, strength), both_parties)
-    if was_x and extract_x_params(out) is None:
-        raise RuntimeError(f"channel {name!r} failed to preserve the X shape")
-    return out
+    return _apply(rho, _transfer(name, strength), both_parties)
 
 
 def _as_x_params(params):
@@ -242,8 +239,9 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=Fa
         raise ValueError(f"damping rate must be finite and nonnegative, got {rate!r}")
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    _named_kraus(channel, 0.0 if channel != "phase_damping" else 1.0)  # name check
     times = np.linspace(0.0, float(t_max), int(steps))
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError(f"t_max = {t_max!r} over steps = {steps!r} gives repeated time points")
     gammas = np.exp(-rate * times)
     method = "analytic" if fast else "auto"
 

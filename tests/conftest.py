@@ -7,7 +7,20 @@ suite is order-independent and reproducible.
 import numpy as np
 import pytest
 
+from discordlab.dynamics import PhaseDampingChannel
 from discordlab.qstate import BellDiagonalParams, TwoQubitState, XStateParams
+
+
+def pytest_configure(config):
+    # database=None keeps hypothesis from storing examples, but it still
+    # caches the constants of local modules when it collects a property
+    # test: keep that cache in pytest's own cache directory
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture
@@ -54,3 +67,31 @@ def random_bell_diagonal(rng):
 def random_direction(rng):
     n = rng.normal(size=3)
     return n / np.linalg.norm(n)
+
+
+def kraus_operators(name, strength):
+    """Kraus operators of the named single-qubit channels of ``dynamics``,
+    written out independently of the transfer matrices the library uses."""
+    if name == "phase_damping":
+        return PhaseDampingChannel(gamma=strength).kraus
+    if name == "amplitude_damping":
+        return (
+            np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - strength)]]),
+            np.array([[0.0, np.sqrt(strength)], [0.0, 0.0]]),
+        )
+    px, py, pz = strength * np.array([float(g) for g in name[6:-1].split(",")])
+    weights = (1.0 - px - py - pz, px, py, pz)
+    paulis = (
+        np.eye(2),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+        np.diag([1.0, -1.0]),
+    )
+    return tuple(np.sqrt(w) * op for w, op in zip(weights, paulis))
+
+
+def kraus_sum(matrix, kraus, both_parties):
+    """sum_k K rho K^dag over K_i x K_j (both qubits) or 1 x K_j (qubit B)."""
+    left = kraus if both_parties else (np.eye(2),)
+    ops = [np.kron(ka, kb) for ka in left for kb in kraus]
+    return sum(op @ matrix @ op.conj().T for op in ops)

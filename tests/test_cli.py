@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import ginibre_state
 
-from discordlab import __version__, cli, conjectures, discord
+from discordlab import __version__, cli, conjectures, discord, dynamics
 from discordlab.cli import (
     StateLoadError,
     dump_state,
@@ -332,6 +332,7 @@ def test_dynamics_fast_rejects_non_x(capsys):
         (["--rate", "1", "--t-max", "nan", "--channel", "pauli(0.5,0.3,0.2)"], "t_max"),
         (["--rate", "nan", "--t-max", "1"], "rate"),
         (["--rate", "inf", "--t-max", "1"], "rate"),
+        (["--rate", "1", "--t-max", "5e-324"], "t_max"),
     ],
 )
 def test_dynamics_rejects_bad_time_flags(capsys, flags, named):
@@ -453,3 +454,27 @@ def test_exit_five_on_broken_ensemble_invariant(capsys, monkeypatch):
     assert "unit ball" in err
     with pytest.raises(ValueError, match="unit ball"):
         discord.EnsembleMember(0.5, np.array([0.0, 0.0, 1.5]))
+
+
+def test_exit_five_on_unknown_branch(capsys, monkeypatch):
+    # a branch label the library never makes is a fault, not a flag error
+    monkeypatch.setattr(discord, "x_state_min_entropy", lambda params: (0.5, "mystery"))
+    code, out, err = run(capsys, ["compute", "--state", X_SPEC])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: ") and "unknown branch" in err
+
+
+def test_exit_five_on_channel_map_breaking_x_shape(capsys, monkeypatch):
+    # a transfer matrix that mixes {1, sigma_z} with {sigma_x, sigma_y}
+    # would turn an X state into a non-X one: rejected before it is applied
+    lam = np.eye(4)
+    lam[1, 3] = 0.1
+    monkeypatch.setattr(dynamics, "_transfer", lambda name, strength: lam)
+    with pytest.raises(RuntimeError, match="mixes"):
+        dynamics.apply_named_channel(load_state(BD_SPEC), "phase_damping", 0.5)
+    argv = ["dynamics", "--state", BD_SPEC, "--rate", "1", "--t-max", "1", "--steps", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: ")

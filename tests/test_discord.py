@@ -14,6 +14,7 @@ from discordlab.discord import (
     BRANCH_QUASI_EIGEN,
     CorrelationReport,
     EnsembleMember,
+    InternalInvariantError,
     ProjectiveMeasurement,
     UnsupportedStructureError,
     avg_entropy,
@@ -218,7 +219,7 @@ def test_report_invariants(rng):
 
 
 def test_correlation_report_validation():
-    with pytest.raises(ValueError, match="branch"):
+    with pytest.raises(InternalInvariantError, match="branch"):
         CorrelationReport(
             mutual_info=1.0,
             classical=0.5,

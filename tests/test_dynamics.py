@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ginibre_state, random_x_params
+from conftest import ginibre_state, kraus_operators, kraus_sum, random_x_params
 
 from discordlab.discord import (
     BRANCH_EQUI_ENTROPY,
@@ -88,6 +88,25 @@ def test_named_channels_preserve_x_shape(rng):
         out = apply_named_channel(state, name, strength)
         assert extract_x_params(out) is not None
         assert out.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, strength",
+    [
+        ("phase_damping", 0.6),
+        ("amplitude_damping", 0.3),
+        ("pauli(0.2,0.3,0.1)", 0.5),
+        ("pauli(0.5,0.3,0.2)", 0.9),
+    ],
+)
+@pytest.mark.parametrize("both_parties", [True, False])
+def test_named_channels_match_kraus_sums(rng, name, strength, both_parties):
+    kraus = kraus_operators(name, strength)
+    for _ in range(20):
+        state = ginibre_state(rng)
+        out = apply_named_channel(state, name, strength, both_parties=both_parties)
+        expected = kraus_sum(state.matrix, kraus, both_parties)
+        np.testing.assert_allclose(out.matrix, expected, rtol=0.0, atol=1e-14)
 
 
 def test_named_channel_errors():
