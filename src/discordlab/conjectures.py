@@ -27,6 +27,7 @@ import numpy as np
 
 from ._kernels import (
     P_FLOOR,
+    _avg_entropy,
     _cached_grid,
     _directions,
     _entropy_of_norms,
@@ -83,7 +84,7 @@ __all__ = [
 
 GAP_TOL = 1e-6  # equi-entropy gap below this counts as zero
 CHORD_TOL = 1e-6  # relative y3 component below this counts as horizontal
-_XI_GRID = 4096  # scan resolution for the constrained maximizer
+_TURNS = np.arange(4) * (np.pi / 4)  # turns of Bob's x-z axes tried by the maximiser
 _MAX_TRIES = 100000  # rejection draws allowed per general-R sample
 _DRAW_BLOCK = 128  # general-R draws checked for positivity by one stacked eigvalsh
 # samples per stacked circle-oracle call in the gap survey.  A chunk's scan
@@ -363,91 +364,72 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     )
 
 
-def _constrained_optimum(r):
-    """Maximal |y+| subject to |y+| = |y-| over in-plane measurement angles, per state.
+def _cubic_form(r):
+    """Coefficients of G(sin xi, cos xi) = 4 (p-^2 |w+|^2 - p+^2 |w-|^2), per state.
 
-    ``r`` is an (N, 4, 4) stack of the family's R (``_mixture_r``).  The
-    measurement direction is n(xi) = (sin xi, 0, cos xi); antipodal angles
-    swap the outcomes, so xi runs over [0, pi].  Outcomes come from
-    ``_kernels._outcomes``, the circle scan's own arithmetic, so a state's
-    result does not depend on the others in the stack.  Roots of |y+| -
-    |y-| are located by a dense scan of each state on its own, which keeps
-    only that state's best flat root and its brackets, then one bisection of every
-    state's brackets at once until no bracket moves; a sign change always
-    exists because the difference is odd under xi -> xi + pi.
-
-    |y| carries a round-off error of order eps / p, so the root taken is
-    the one whose radius less its bound 64 eps / min(p+, p-) is largest,
-    the first in order on ties (flat roots by xi, then brackets).  On a
-    product state every xi is a root, and the largest radius alone would
-    be a rare outcome's overshoot.  Returns ``(radii, xis)``, arrays of N.
+    ``r`` is an (N, 4, 4) stack; the result is (N, 4), entry j the
+    coefficient of sin^(3-j) xi cos^j xi.  On n = (sin xi, 0, cos xi), with
+    l = b.n and m = T n, G = (a.m)(1 + l^2) - l (|a|^2 + |m|^2), made a cubic
+    form by |n|^2 = 1.  G = 4 p+^2 p-^2 (|y+|^2 - |y-|^2), so where both
+    p+- > 0 its roots are exactly the equi-norm measurements.
     """
-    xi = np.linspace(0.0, np.pi, _XI_GRID + 1)
-    terms = ((1, np.sin(xi)), (3, np.cos(xi)))
-    bound = 64 * np.finfo(np.float64).eps
-    # points where delta sits at rounding noise are already roots; counting
-    # them here also keeps noise wiggles out of the bisection brackets
-    noise = 1e-13
-    flat_roots, brackets = [], []  # per state: its best flat root; its (lo, hi, lo_positive)
-    for one in r:
-        prob, norm = _outcomes(one[np.newaxis], terms)
-        prob, norm = prob[:, 0], norm[:, 0]
-        delta = norm[0] - norm[1]
-        valid = (prob > 1e-13).all(axis=0)
-        flat = np.flatnonzero(valid & (np.abs(delta) <= noise))
-        if len(flat):
-            k = flat[np.argmax(norm[0, flat] - bound / prob[:, flat].min(axis=0))]
-            flat_roots.append((norm[0, k], prob[:, k].min(), xi[k]))
-        else:
-            flat_roots.append((-np.inf, 1.0, 0.0))  # loses to any root
-        i = np.flatnonzero(
-            valid[:-1]
-            & valid[1:]
-            & (delta[:-1] * delta[1:] < 0.0)
-            & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
-        )
-        brackets.append((xi[i], xi[i + 1], delta[i] > 0.0))
 
-    def outcomes(states, angles):  # p+- and |y+-| of one angle per bracket, each (2, len(angles))
-        prob, norm = _outcomes(
-            r[states], ((1, np.sin(angles)[:, np.newaxis]), (3, np.cos(angles)[:, np.newaxis]))
-        )
-        return prob[..., 0], norm[..., 0]
+    def times(linear, quadratic):  # (x s + y c)(A s^2 + B s c + C c^2)
+        (x, y), (qa, qb, qc) = linear, quadratic
+        return np.stack((x * qa, x * qb + y * qa, x * qc + y * qb, y * qc), axis=-1)
 
-    # bisect every bracket of every state at once; a bracket that did not
-    # move never moves again, and an exact root sets lo = hi = mid
-    owner = np.repeat(np.arange(len(r)), [len(b[0]) for b in brackets])
-    lo, hi, lo_positive = (np.concatenate(column) for column in zip(*brackets))
-    moving = np.arange(len(lo))
-    for _ in range(80):
-        if not len(moving):
-            break
-        was_lo, was_hi = lo[moving], hi[moving]
-        mid = 0.5 * (was_lo + was_hi)
-        norm_mid = outcomes(owner[moving], mid)[1]
-        d_mid = norm_mid[0] - norm_mid[1]
-        same_sign = (d_mid > 0.0) == lo_positive[moving]
-        lo[moving] = np.where((d_mid == 0.0) | same_sign, mid, was_lo)
-        hi[moving] = np.where((d_mid == 0.0) | ~same_sign, mid, was_hi)
-        moving = moving[(lo[moving] != was_lo) | (hi[moving] != was_hi)]
-    mid = 0.5 * (lo + hi)
-    prob_mid, norm_mid = outcomes(owner, mid)
-    kept = (prob_mid > P_FLOOR).all(axis=0)
+    b1, b3 = r[:, 0, 1], r[:, 0, 3]
+    vectors = r[:, 1:, [0, 1, 3]]  # a, T e_x and T e_z as columns
+    (aa, ax, az), (_, xx, xz), (_, _, zz) = np.einsum("nki,nkj->ijn", vectors, vectors)
+    # a.m = ax s + az c, while 1 + l^2 and |a|^2 + |m|^2 are quadratic forms
+    one_plus_l_sq = (1.0 + b1 * b1, 2.0 * b1 * b3, 1.0 + b3 * b3)
+    return times((ax, az), one_plus_l_sq) - times((b1, b3), (aa + xx, 2.0 * xz, aa + zz))
 
-    # candidates in order: each state's best flat root, then its brackets
-    state = np.concatenate((np.arange(len(r)), owner[kept]))
-    radius, p_min, angle = (
-        np.concatenate((np.array(column), extra))
-        for column, extra in zip(
-            zip(*flat_roots), (norm_mid[0, kept], prob_mid[:, kept].min(axis=0), mid[kept])
-        )
-    )
-    lower = radius - bound / p_min
-    order = np.lexsort((-lower, state))  # stable: the first candidate on ties
-    first = order[np.r_[True, state[order][1:] != state[order][:-1]]]
-    if not np.isfinite(lower[first]).all():
-        raise RuntimeError("no equi-norm measurement found; should be unreachable")
-    return radius[first], angle[first]
+
+def _form_at(g, xi):
+    """Cubic forms ``g`` (N, 4) at angles xi, (m,) shared or (N, m) per state."""
+    s, c = np.sin(xi), np.cos(xi)
+    return sum(g[:, j, np.newaxis] * s ** (3 - j) * c**j for j in range(4))
+
+
+def _constrained_optimum(r):
+    """Least average entropy over the equi-norm measurements |y+| = |y-|, per state.
+
+    ``r`` is an (N, 4, 4) stack of the family's R (``_mixture_r``), measured
+    along n(xi) = (sin xi, 0, cos xi).  The equi-norm angles are the real
+    roots of the cubic form G (``_cubic_form``), at most three in [0, pi).
+    Bob's x-z axes are first turned by the angle of {0, pi/4, pi/2, 3 pi/4}
+    where |G| is largest, which keeps every root off the chart's point at
+    infinity; one stacked ``eigvals`` of the companion matrices in cot xi'
+    then gives all states' roots.  The real part of a root is kept where the
+    turned form is at most 1e-9 times its leading coefficient: a double root
+    that round-off split off the real axis passes, a complex pair does not.
+    Each kept root is scored by ``_kernels._avg_entropy``, the circle scan's
+    own evaluator, h(|y+-|) there, and the least is taken.
+
+    Returns ``(values, xis)``, arrays of N with xi in [0, pi).  A state
+    whose coefficients are all at most 1e-13 has every xi equi-norm: the
+    constraint is vacuous, and its value and angle are NaN.
+    """
+    g = _cubic_form(r)
+    values, xis = np.full((2, len(r)), np.nan)
+    rows = np.flatnonzero(np.abs(g).max(axis=1) > 1e-13)
+    r = r[rows]
+    turn = _TURNS[np.abs(_form_at(g[rows], _TURNS)).argmax(axis=1)]
+    c, s = np.cos(turn)[:, np.newaxis], np.sin(turn)[:, np.newaxis]
+    turned = r.copy()
+    turned[..., 1], turned[..., 3] = r[..., 1] * c - r[..., 3] * s, r[..., 1] * s + r[..., 3] * c
+    g = _cubic_form(turned)  # its leading coefficient is G at xi = turn
+    companion = np.zeros((len(r), 3, 3))
+    companion[:, 0] = -g[:, 2::-1] / g[:, 3:]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    turned_xi = np.arctan2(1.0, np.linalg.eigvals(companion).real)  # from cot xi'
+    kept = np.abs(_form_at(g, turned_xi)) <= 1e-9 * np.abs(g[:, 3:])
+    xi = np.mod(turn[:, np.newaxis] + turned_xi, np.pi)
+    h = np.where(kept, _avg_entropy(r, ((1, np.sin(xi)), (3, np.cos(xi)))), np.inf)
+    best = (np.arange(len(r)), h.argmin(axis=1))
+    values[rows], xis[rows] = h[best], xi[best]
+    return values, xis
 
 
 class _MixtureStack(NamedTuple):
@@ -492,15 +474,20 @@ def _mixture_stack(lam, alpha, beta, n_polar, threads=1):
 def _conjecture_reports(stack):
     """Correlation reports of a ``_MixtureStack``'s states, assuming the conjecture.
 
-    The constrained maximiser runs on the whole stack; C = S(rho^A) -
-    h(|y+|*), with S(rho^A) from the norm of R's column 0.  The stack's
-    oracle values are the guard: a disagreement beyond 1e-4 bits raises
+    The constrained maximiser runs on the whole stack and gives each state's
+    least equi-norm average entropy h(|y+-|); C = S(rho^A) less that, with
+    S(rho^A) from the norm of R's column 0.  Where the constraint is vacuous
+    (every measurement equi-norm, as on product states) the constrained
+    optimum is the circle's minimum, so the stack's oracle value and
+    direction are taken, exact by definition.  The
+    oracle values are also the guard: a disagreement beyond 1e-4 bits raises
     :class:`ConjectureViolationError` with the counterexample attached.
     """
-    radii, xis = _constrained_optimum(stack.r)
+    values, xis = _constrained_optimum(stack.r)
+    flat = np.isnan(values)
+    values = np.where(flat, stack.oracle_value, values)
     reports = []
-    for k, (radius, xi) in enumerate(zip(radii, xis)):
-        value = binary_entropy(radius)
+    for k, (value, xi) in enumerate(zip(values.tolist(), xis.tolist())):
         if abs(value - stack.oracle_value[k]) > 1e-4:
             p = MixtureParams(lam=stack.lam[k], alpha=stack.alpha[k], beta=stack.beta[k])
             raise ConjectureViolationError(
@@ -511,7 +498,8 @@ def _conjecture_reports(stack):
                 unconstrained=float(stack.oracle_value[k]),
                 measurement=ProjectiveMeasurement(stack.oracle_n[k]),
             )
-        measurement = ProjectiveMeasurement(np.array([np.sin(xi), 0.0, np.cos(xi)]))
+        n = stack.oracle_n[k] if flat[k] else np.array([np.sin(xi), 0.0, np.cos(xi)])
+        measurement = ProjectiveMeasurement(n)
         info = float(stack.info[k])
         classical = binary_entropy(np.linalg.norm(stack.r[k, 1:, 0])) - value
         reports.append(
@@ -531,8 +519,9 @@ def _conjecture_reports(stack):
 def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     """Correlation report for the mixture family assuming the conjecture.
 
-    Maximizes |y+| under |y+| = |y-| (a one-dimensional search), then
-    C = S(rho^A) - h(|y+|*).  The exact circle oracle (``_circle_oracle``),
+    Maximizes |y+| under |y+| = |y-|, in closed form: the equi-norm
+    measurements are the real roots of a cubic (``_constrained_optimum``),
+    and C = S(rho^A) - h(|y+|*).  The exact circle oracle (``_circle_oracle``),
     which does not assume the conjecture, runs alongside as a guard:
     disagreement beyond 1e-4 bits raises :class:`ConjectureViolationError`
     with the counterexample attached.  ``grid`` is read for its polar
@@ -550,7 +539,8 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     order, suitable for surface plots.  alpha runs over [0, pi/2]; beta
     runs over the full [0, pi] so reflection symmetry about beta = pi/2
     is visible in the surface.  Cells with beta <= pi/2 go through the
-    constrained maximizer; the mirror half uses the exact circle oracle
+    constrained maximiser, the closed-form roots of a cubic
+    (``_constrained_optimum``); the mirror half uses the exact circle oracle
     directly, which does not assume the conjecture, so the two halves
     agreeing is a cross-check, not a construction.  ``oracle_grid`` is
     read for its polar count only.
@@ -559,7 +549,8 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     the circle oracle in chunks over ``threads`` workers, which gives the
     mirror cells' minimum and the guard of the others, and I and S(rho_A)
     from stacked ``eigvalsh`` calls.  The constrained cells then go to
-    ``_conjecture_reports`` as one stack.  Rows do not depend on
+    ``_conjecture_reports`` as one stack, whose maximiser is one stacked
+    ``eigvals`` call with no per-cell loop.  Rows do not depend on
     ``threads``.  Raises ValueError if ``lam`` lies outside [0, 1] or
     ``grid_points`` is below 2.
     """

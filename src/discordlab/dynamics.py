@@ -125,8 +125,9 @@ def _transfer(name, strength):
     match = _PAULI_NAME.match(name.replace(" ", ""))
     if match:
         base = np.array([float(g) for g in match.groups()])
-        probs = float(strength) * base
-        if np.any(probs < -1e-15) or probs.sum() > 1.0 + 1e-12:
+        # a non-finite entry fails the range test unscaled: 0 * inf would be NaN
+        probs = float(strength) * base if np.isfinite(base).all() else base
+        if not ((probs >= -1e-15).all() and probs.sum() <= 1.0 + 1e-12):
             raise ValueError(f"Pauli probabilities {probs!r} invalid at strength {strength!r}")
         probs = np.clip(probs, 0.0, 1.0)
         p0 = max(1.0 - probs.sum(), 0.0)

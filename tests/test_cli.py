@@ -333,13 +333,17 @@ def test_dynamics_fast_rejects_non_x(capsys):
         (["--rate", "nan", "--t-max", "1"], "rate"),
         (["--rate", "inf", "--t-max", "1"], "rate"),
         (["--rate", "1", "--t-max", "5e-324"], "t_max"),
+        (["--rate", "1", "--t-max", "1", "--channel", "pauli(nan,0,0)"], "Pauli"),
+        (["--rate", "1", "--t-max", "1", "--channel", "pauli(inf,0,0)"], "Pauli"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dynamics_rejects_bad_time_flags(capsys, flags, named):
     code, out, err = run(capsys, ["dynamics", "--state", BD_SPEC, "--steps", "3", *flags])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and named in err
+    assert "RuntimeWarning" not in err
 
 
 # ---- monte-carlo subcommands ----------------------------------------------

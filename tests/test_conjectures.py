@@ -3,7 +3,6 @@ import pytest
 from conftest import ginibre_state, random_direction
 
 from discordlab import _kernels, conjectures
-from discordlab._kernels import P_FLOOR
 from discordlab.conjectures import (
     ConjectureViolationError,
     GeneralRParams,
@@ -313,54 +312,20 @@ def test_conjecture_violation_error_payload():
     assert err.measurement is m
 
 
-def _constrained_optimum_per_bracket(p):
-    # the maximizer's former scalar loop: one bisection per bracket in turn,
-    # then the same choice among the roots, one candidate at a time
-    xi = np.linspace(0.0, np.pi, conjectures._XI_GRID + 1)
-    r = conjectures._mixture_r(p.lam, p.alpha, p.beta)[np.newaxis]
+# samples on which a 4,097-node scan of |y+| - |y-| misses two roots that
+# lie closer together than its spacing, so that the scan-based maximiser
+# read up to 0.66 bits above the circle oracle and its guard raised
+_NARROW_DIP_SAMPLES = (
+    (5, 219), (5, 349), (17, 463), (17, 564), (20250814, 2492), (9, 867), (101, 1975)
+)
 
-    def arrays(angles):
-        prob, norm = _kernels._outcomes(r, ((1, np.sin(angles)), (3, np.cos(angles))))
-        (pp, pm), (rp, rm) = prob[:, 0], norm[:, 0]
-        return pp, pm, rp, rp - rm
 
-    pp, pm, rp, delta = arrays(xi)
-    valid = (pp > 1e-13) & (pm > 1e-13)
-    noise = 1e-13
-    flat = valid & (np.abs(delta) <= noise)
-    # candidate roots in order: (radius, min(p+, p-), xi)
-    candidates = [(rp[i], min(pp[i], pm[i]), xi[i]) for i in np.flatnonzero(flat)]
-    sign_change = (
-        valid[:-1]
-        & valid[1:]
-        & (delta[:-1] * delta[1:] < 0.0)
-        & ((np.abs(delta[:-1]) > noise) | (np.abs(delta[1:]) > noise))
-    )
-    for i in np.flatnonzero(sign_change):
-        lo, hi = xi[i], xi[i + 1]
-        f_lo = delta[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            d_mid = arrays(np.array([mid]))[3]
-            if d_mid[0] == 0.0:
-                lo = hi = mid
-                break
-            if (d_mid[0] > 0.0) == (f_lo > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        mid = 0.5 * (lo + hi)
-        p_mid, m_mid, r_mid, _ = arrays(np.array([mid]))
-        if p_mid[0] > P_FLOOR and m_mid[0] > P_FLOOR:
-            candidates.append((r_mid[0], min(p_mid[0], m_mid[0]), mid))
-    assert candidates
-    # |y| is good to ~eps / p: the first root with the largest radius less
-    # its bound 64 eps / min(p+, p-)
-    chosen, lower = None, -np.inf
-    for radius, p_min, angle in candidates:
-        if radius - 64 * np.finfo(float).eps / p_min > lower:
-            chosen, lower = (radius, angle), radius - 64 * np.finfo(float).eps / p_min
-    return float(chosen[0]), float(chosen[1])
+def _narrow_dip_params():
+    return [sample_mixture_params(i + 1, seed)[i] for seed, i in _NARROW_DIP_SAMPLES]
+
+
+def _stacked_r(drawn):
+    return conjectures._mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
 
 
 def _maximiser_states():
@@ -374,42 +339,79 @@ def _maximiser_states():
     return drawn
 
 
-def test_constrained_optimum_matches_per_bracket_bisection():
-    # all states' brackets bisected at once give the scalar loop's result bitwise
-    drawn = _maximiser_states()
-    radii, xis = conjectures._constrained_optimum(
-        conjectures._mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
-    )
-    for p, radius, xi in zip(drawn, radii, xis):
-        assert (radius, xi) == _constrained_optimum_per_bracket(p)
+def test_cubic_form_is_the_outcome_map_identity(rng):
+    # G = 4 (p-^2 |w+|^2 - p+^2 |w-|^2) on the x-z circle, for any R: the
+    # mixture family's and Ginibre states', whose y column does not vanish
+    ginibre = [pauli_expansion(ginibre_state(rng)).entries for _ in range(50)]
+    r = np.concatenate((_stacked_r(sample_mixture_params(150, 3)), ginibre))
+    xi = np.linspace(0.0, np.pi, 101)
+    p, x = _kernels._outcomes(r, ((1, np.sin(xi)), (3, np.cos(xi))))
+    expected = 4.0 * ((p[1] * p[0] * x[0]) ** 2 - (p[0] * p[1] * x[1]) ** 2)
+    g = conjectures._cubic_form(r)
+    np.testing.assert_allclose(conjectures._form_at(g, xi), expected, rtol=0.0, atol=1e-14)
 
 
-def test_constrained_optimum_stops_when_no_bracket_moves(monkeypatch):
-    # one scan per state, at most 80 bisection steps and the final midpoints
-    # make N + 81 calls of the outcome map; brackets stop moving once lo and
-    # hi are adjacent floats, before the 80th step
-    calls = []
-    outcomes = conjectures._outcomes
+def _scan_and_bisect(r, nodes=10_000):
+    # least average entropy over the equi-norm angles that a scan of |y+| -
+    # |y-| on nodes + 1 points of [0, pi] and a bisection of every sign change
+    # find, per state; a scan can miss roots, so this bounds the maximiser above
+    xi = np.linspace(0.0, np.pi, nodes + 1)
 
-    def counting(r, terms):
-        calls[-1] += 1
-        return outcomes(r, terms)
+    def delta(states, angles):  # |y+| - |y-| at (len(states), m) angles
+        _, norm = _kernels._outcomes(r[states], ((1, np.sin(angles)), (3, np.cos(angles))))
+        return norm[0] - norm[1]
 
-    monkeypatch.setattr(conjectures, "_outcomes", counting)
-    drawn = _maximiser_states()
-    for start in range(0, len(drawn), 50):
-        chunk = drawn[start : start + 50]
-        calls.append(0)
-        conjectures._constrained_optimum(
-            conjectures._mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in chunk]).T)
-        )
-        assert calls[-1] < len(chunk) + 81
+    owner, lo, hi = [], [], []
+    for k in range(len(r)):
+        d = np.sign(delta([k], xi[np.newaxis])[0])
+        i = np.flatnonzero(d[:-1] * d[1:] <= 0.0)  # exact zeros count as roots
+        owner += [k] * len(i)
+        lo.append(xi[i])
+        hi.append(xi[i + 1])
+    owner, lo, hi = np.array(owner), np.concatenate(lo), np.concatenate(hi)
+    sign_lo = np.sign(delta(owner, lo[:, np.newaxis])[:, 0])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        sign_mid = np.sign(delta(owner, mid[:, np.newaxis])[:, 0])
+        left = sign_mid != sign_lo  # a root in [lo, mid]
+        hi = np.where(left, mid, hi)
+        lo, sign_lo = np.where(left, lo, mid), np.where(left, sign_lo, sign_mid)
+    mid = 0.5 * (lo + hi)[:, np.newaxis]
+    values = _kernels._avg_entropy(r[owner], ((1, np.sin(mid)), (3, np.cos(mid))))[:, 0]
+    best = np.full(len(r), np.inf)
+    np.minimum.at(best, owner, values)
+    return best
+
+
+def test_constrained_optimum_never_above_scan_and_bisect():
+    # every root the scan finds is a root of the cubic, and the maximiser
+    # takes the best of all of them
+    drawn = _maximiser_states() + _narrow_dip_params()
+    r = _stacked_r(drawn)
+    values, xis = conjectures._constrained_optimum(r)
+    flat = np.isnan(values)
+    assert flat.any() and not np.isnan(xis[~flat]).any()
+    assert ((xis[~flat] >= 0.0) & (xis[~flat] < np.pi)).all()
+    reference = _scan_and_bisect(r[~flat])
+    assert (values[~flat] <= reference + 1e-12).all()
+
+
+def test_guard_holds_on_narrow_dips():
+    # the samples where a node scan missed a pair of close roots; and no
+    # maximiser value above the exact circle oracle over 3,000 more samples
+    for p in _narrow_dip_params():
+        mixture_correlations_via_conjecture(p)
+    for seed in (5, 17, 20250814):
+        r = _stacked_r(sample_mixture_params(1000, seed))
+        values, _ = conjectures._constrained_optimum(r)
+        oracle, _ = conjectures._circle_oracle(r, 181, 1e-12)
+        assert not (values > oracle + 1e-6).any()
 
 
 def test_sweep_discord_is_not_negative():
     # on product cells (alpha = 0 or beta = 0) every angle is an equi-norm
-    # root; a rare outcome's |y+| overshoots |a| by ~eps / p, which took C
-    # above I by up to 3e-10 before the maximizer weighed that round-off
+    # root; a rare outcome's |y+| overshoots |a| by ~eps / p, which once took
+    # C above I by up to 3e-10, so these cells take the circle's minimum
     for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
         for row in sweep_mixture(lam, 9):
             assert row[4] >= -1e-12, (lam, row)
