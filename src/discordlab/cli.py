@@ -52,12 +52,7 @@ from .qstate import (
     make_x_state,
     pauli_expansion,
 )
-from .steering import (
-    NotAnEllipsoidError,
-    SingularRError,
-    steering_ellipsoid,
-    x_frame_geometry,
-)
+from .steering import steering_ellipsoid, x_frame_geometry
 
 __all__ = [
     "StateLoadError",
@@ -646,13 +641,7 @@ def parse_and_dispatch(argv):
     except (RuntimeError, InternalInvariantError) as exc:  # a fault, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
-    except (
-        StateLoadError,
-        InvalidStateError,
-        UnsupportedStructureError,
-        SingularRError,
-        NotAnEllipsoidError,
-    ) as exc:
+    except (StateLoadError, InvalidStateError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,71 +1,40 @@
 """Steering ellipsoid of a two-qubit state.
 
 Local measurements on qubit B steer qubit A to Bloch vectors that fill an
-ellipsoid inside the unit ball.  In homogeneous coordinates y = (1, y1, y2,
-y3) the ellipsoid interior is the set where y Q y^T >= 0 with the quadric
-Q = R^{-T} eta R^{-1}, eta = diag(1, -1, -1, -1), provided the Pauli
-coefficient matrix R is nonsingular.  X-shaped states admit closed forms
-for the semi-axes, centre and in-plane rotation angle; when R is singular
-the set degenerates to an ellipse, a segment or points and is classified
-here directly from the parameters.
+ellipsoid inside the unit ball.  Write a = R[1:, 0] and b = R[0, 1:] for
+the Bloch vectors of A and B, T = R[1:, 1:] for the correlation block and
+g = 1 - |b|^2.  Jevtic, Pusey, Jennings and Rudolph (PRL 113, 020402,
+2014) give the ellipsoid's centre c = (a - T b) / g and its matrix
+
+    Q = (T - a b^T) (I + b b^T / g) (T - a b^T)^T / g,
+
+whose eigenvalues are the squared semi-axes, for every state whose B
+marginal is mixed.  Where R is singular the ellipsoid collapses to a
+filled ellipse, a segment or a point; where B's marginal is pure the state
+is a product and A is steered only to its own Bloch vector.  X-shaped
+states admit closed forms for the semi-axes, centre and in-plane rotation
+angle, :func:`x_frame_geometry`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CorrelationMatrix, XStateParams, pauli_expansion, extract_x_params
+from .qstate import pauli_expansion
 
 __all__ = [
-    "SINGULARITY_TOL",
-    "SingularRError",
-    "NotAnEllipsoidError",
-    "QuadricForm",
     "SteeringEllipsoid",
-    "steering_quadric",
-    "quadric_to_ellipsoid",
-    "ellipsoid_from_x_state",
-    "classify_degenerate",
     "steering_ellipsoid",
     "contains",
     "surface_points",
     "x_frame_geometry",
 ]
 
-SINGULARITY_TOL = 1e-10  # |det R| at or below this counts as degenerate
+_PURE_TOL = 1e-12  # g = 1 - |b|^2 at or below this: B's marginal is pure
 _FACTOR_TOL = 1e-9  # axis lengths below this count as collapsed
 
-MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
-
-DEGENERACY_CLASSES = ("full", "ellipse", "segment", "point_pair", "point")
-
-
-class SingularRError(ValueError):
-    """R is singular; the quadric construction does not apply."""
-
-
-class NotAnEllipsoidError(ValueError):
-    """The quadric does not bound an ellipsoid."""
-
-
-@dataclass(frozen=True, eq=False)
-class QuadricForm:
-    """Symmetric 4x4 quadric in homogeneous Bloch coordinates.
-
-    Sign convention: points y with (1, y) Q (1, y)^T > 0 are interior.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 quadric, got shape {m.shape}")
-        if np.abs(m - m.T).max() > 1e-10:
-            raise ValueError("quadric matrix must be symmetric")
-        m = 0.5 * (m + m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+# indexed by the number of live semi-axes
+DEGENERACY_CLASSES = ("point", "segment", "ellipse", "full")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +43,12 @@ class SteeringEllipsoid:
 
     ``semi_axes`` are sorted in descending order; the columns of
     ``rotation`` are the matching principal directions (right-handed).
-    ``orientation`` is the rotation angle about the y3 axis; for X-shaped
-    states it equals (mu + nu)/2.  ``degeneracy`` is one of "full",
-    "ellipse", "segment", "point_pair" or "point".  Collapsed axes are
-    stored as exact zeros.
+    ``orientation`` is the azimuth of the first principal direction that
+    lies near the y1-y2 plane, in [0, pi); for X-shaped states with
+    distinct in-plane axes it equals (mu + nu)/2 mod pi.  ``degeneracy``
+    counts the semi-axes above 1e-9: "full" (three), "ellipse" (two),
+    "segment" (one) or "point" (none).  Collapsed axes are stored as
+    exact zeros.
     """
 
     center: np.ndarray
@@ -97,23 +68,6 @@ class SteeringEllipsoid:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "semi_axes", s)
         object.__setattr__(self, "rotation", r)
-
-
-def steering_quadric(r):
-    """Quadric of the steering ellipsoid, Q = R^{-T} eta R^{-1}.
-
-    Raises :class:`SingularRError` when |det R| <= 1e-10; degenerate
-    X-shaped states are handled by :func:`classify_degenerate` instead.
-    """
-    entries = r.entries if isinstance(r, CorrelationMatrix) else np.asarray(r, float)
-    det = np.linalg.det(entries)
-    if abs(det) <= SINGULARITY_TOL:
-        raise SingularRError(
-            f"|det R| = {abs(det):.3e} is below the singularity threshold; "
-            "use classify_degenerate for X-form parameters"
-        )
-    rinv = np.linalg.inv(entries)
-    return QuadricForm(rinv.T @ MINKOWSKI @ rinv)
 
 
 def _orientation_angle(rotation):
@@ -164,40 +118,10 @@ def _canonical_axes(axes, dirs):
     return axes, dirs
 
 
-def quadric_to_ellipsoid(q):
-    """Centre, semi-axes and principal frame of a nondegenerate quadric.
-
-    Raises :class:`NotAnEllipsoidError` when the spatial 3x3 block is not
-    definite or the quadric has empty interior.
-    """
-    m = q.matrix if isinstance(q, QuadricForm) else QuadricForm(q).matrix
-    block = m[1:, 1:]
-    w = np.linalg.eigvalsh(block)
-    if w[0] > 0.0 and w[2] > 0.0:
-        m = -m
-        block = -block
-    elif not (w[0] < 0.0 and w[2] < 0.0):
-        raise NotAnEllipsoidError("spatial block of the quadric is not definite")
-    q0 = m[0, 1:]
-    center = -np.linalg.solve(block, q0)
-    level = m[0, 0] + q0 @ center
-    if level <= 0.0:
-        raise NotAnEllipsoidError("quadric has empty interior")
-    w, vecs = np.linalg.eigh(-block / level)
-    axes, dirs = _canonical_axes(1.0 / np.sqrt(w), vecs)
-    return SteeringEllipsoid(
-        center=center,
-        semi_axes=axes,
-        orientation=_orientation_angle(dirs),
-        rotation=dirs,
-        degeneracy="full",
-    )
-
-
 def x_frame_geometry(params):
-    """Closed-form ellipsoid data (l1, l2, l3, Y3, phi) of an X-shaped state.
+    """Closed form of :func:`steering_ellipsoid` for an X-shaped state.
 
-    l1 >= l2 lie in the y1-y2 plane rotated by phi = (mu + nu)/2 about y3,
+    Returns (l1, l2, l3, Y3, phi): l1 >= l2 lie in the y1-y2 plane rotated by phi = (mu + nu)/2 about y3,
     l3 is the vertical semi-axis and (0, 0, Y3) the centre.  Valid for
     degenerate parameters as well, where collapsed axes come out as 0.
     """
@@ -215,91 +139,37 @@ def x_frame_geometry(params):
     return float(l1), float(l2), float(l3), float(y3), 0.5 * (p.mu + p.nu)
 
 
-def _x_frame_dirs(phi):
-    e1 = np.array([np.cos(phi), -np.sin(phi), 0.0])
-    e2 = np.array([np.sin(phi), np.cos(phi), 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    return e1, e2, e3
-
-
-def _assemble(center_y3, axes_and_dirs, degeneracy, phi):
-    axes = np.array([a for a, _ in axes_and_dirs])
-    dirs = np.column_stack([d for _, d in axes_and_dirs])
-    axes, dirs = _canonical_axes(axes, dirs)
-    axes[axes <= _FACTOR_TOL] = 0.0
-    return SteeringEllipsoid(
-        center=np.array([0.0, 0.0, center_y3]),
-        semi_axes=axes,
-        orientation=phi,
-        rotation=dirs,
-        degeneracy=degeneracy,
-    )
-
-
-def x_state_det(params):
-    """det R = 16 (bc - ad)(u^2 - v^2) for X-shaped states."""
-    p = params
-    return 16.0 * (p.b * p.c - p.a * p.d) * (p.u**2 - p.v**2)
-
-
-def ellipsoid_from_x_state(params):
-    """Steering ellipsoid of an X-shaped state from closed forms.
-
-    Degenerate parameter sets (det R within the singularity threshold) are
-    routed to :func:`classify_degenerate`.
-    """
-    if abs(x_state_det(params)) <= SINGULARITY_TOL:
-        return classify_degenerate(params)
-    l1, l2, l3, y3, phi = x_frame_geometry(params)
-    e1, e2, e3 = _x_frame_dirs(phi)
-    return _assemble(y3, [(l1, e1), (l2, e2), (l3, e3)], "full", phi)
-
-
-def classify_degenerate(params):
-    """Degenerate steering set of an X-shaped state with singular R.
-
-    The classes, by which determinant factor vanishes:
-
-    * ad = bc, u != v: filled ellipse in the plane y3 = Y3 ("ellipse").
-    * ad = bc, u = v != 0: in-plane segment of half-length l1 ("segment").
-    * ad != bc, u = v != 0: filled ellipse spanned by the rotated y1
-      direction and y3 ("ellipse").
-    * u = v = 0, ad != bc: the extreme steered points are the two apexes
-      (0, 0, Y3 +- l3) ("point_pair").
-    * u = v = 0, ad = bc: product state, the single point (0, 0, r3).
-    """
-    p = params
-    l1, l2, l3, y3, phi = x_frame_geometry(p)
-    e1, e2, e3 = _x_frame_dirs(phi)
-    coherent = (p.u + p.v) > _FACTOR_TOL
-    if not coherent and l3 <= _FACTOR_TOL:
-        r3 = p.a + p.b - p.c - p.d
-        return _assemble(r3, [(0.0, e1), (0.0, e2), (0.0, e3)], "point", phi)
-    if not coherent:
-        return _assemble(y3, [(l3, e3), (0.0, e1), (0.0, e2)], "point_pair", phi)
-    if l3 <= _FACTOR_TOL and l2 <= _FACTOR_TOL:
-        return _assemble(y3, [(l1, e1), (0.0, e2), (0.0, e3)], "segment", phi)
-    if l3 <= l2:
-        return _assemble(y3, [(l1, e1), (l2, e2), (0.0, e3)], "ellipse", phi)
-    return _assemble(y3, [(l1, e1), (l3, e3), (0.0, e2)], "ellipse", phi)
-
-
 def steering_ellipsoid(state):
     """Steering ellipsoid of any two-qubit state.
 
-    Nonsingular R goes through the quadric; singular R is supported for
-    X-shaped states only and raises :class:`SingularRError` otherwise.
+    The semi-axes and principal directions are the singular values and
+    left singular vectors of M = (T - a b^T) S / sqrt(g), with
+    S = I + b b^T / (sqrt(g) (1 + sqrt(g))) the square root of
+    I + b b^T / g, so that M M^T = Q.  Singular values carry an absolute
+    error of about eps times the largest axis, so collapsed axes come out
+    near 1e-16, well under the 1e-9 floor; square roots of Q's eigenvalues
+    would leave them near 1e-8.  The error grows as eps / g as B's marginal
+    approaches a pure state.
     """
-    r = pauli_expansion(state)
-    if abs(r.det) > SINGULARITY_TOL:
-        return quadric_to_ellipsoid(steering_quadric(r))
-    params = extract_x_params(state)
-    if params is None:
-        raise SingularRError(
-            "R is singular and the state is not X-shaped; "
-            "no degenerate classification is available"
-        )
-    return classify_degenerate(params)
+    r = pauli_expansion(state).entries
+    a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
+    g = 1.0 - b @ b
+    if g <= _PURE_TOL:
+        center, axes, dirs = a, np.zeros(3), np.eye(3)
+    else:
+        root = np.sqrt(g)
+        center = (a - t @ b) / g
+        shear = np.eye(3) + np.outer(b, b) / (root * (1.0 + root))
+        dirs, axes, _ = np.linalg.svd((t - np.outer(a, b)) @ shear / root)
+    axes, dirs = _canonical_axes(axes, dirs)
+    axes[axes <= _FACTOR_TOL] = 0.0
+    return SteeringEllipsoid(
+        center=center,
+        semi_axes=axes,
+        orientation=_orientation_angle(dirs),
+        rotation=dirs,
+        degeneracy=DEGENERACY_CLASSES[np.count_nonzero(axes)],
+    )
 
 
 def contains(ellipsoid, y, tol=1e-9):

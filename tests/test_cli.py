@@ -12,6 +12,7 @@ from discordlab.cli import (
     parse_and_dispatch,
 )
 from discordlab.qstate import extract_x_params, pauli_expansion
+from discordlab.steering import steering_ellipsoid
 
 X_SPEC = '{"xstate": {"a": 0.4, "b": 0.1, "c": 0.2, "d": 0.3, "u": 0.1, "v": 0.1}}'
 BD_SPEC = '{"bell_diagonal": [0.8, -0.1, 0.2]}'
@@ -289,6 +290,42 @@ def test_ellipsoid_degenerate_x_state(capsys):
     assert json.loads(out)["degeneracy"] == "ellipse"
 
 
+def test_ellipsoid_mixture_state_is_a_segment(capsys):
+    # R is singular and the state is not X-shaped: B's measurements steer A
+    # along the line y3 + y1 tan(alpha) = 1
+    alpha = 0.5
+    spec = json.dumps({"mixture": {"lambda": 0.3, "alpha": alpha, "beta": 0.7}})
+    code, out, _ = run(capsys, ["ellipsoid", "--state", spec])
+    assert code == 0
+    assert json.loads(out)["degeneracy"] == "segment"
+    ellipsoid = steering_ellipsoid(load_state(spec))
+    y1, _, y3 = ellipsoid.center
+    assert abs(y3 + y1 * np.tan(alpha) - 1.0) <= 1e-12
+    axis = ellipsoid.rotation[:, 0] * np.sign(ellipsoid.rotation[0, 0])
+    np.testing.assert_allclose(axis, [np.cos(alpha), 0.0, -np.sin(alpha)], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mixture",
+    [{"lambda": 0.0, "alpha": 0.5, "beta": 0.7}, {"lambda": 0.3, "alpha": 0.5, "beta": 0.0}],
+    ids=["lambda-zero", "beta-zero"],
+)
+def test_ellipsoid_product_state_is_a_point(capsys, mixture):
+    # a product state with B's marginal pure steers A only to its own Bloch vector
+    spec = json.dumps({"mixture": mixture})
+    code, out, _ = run(capsys, ["ellipsoid", "--state", spec])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degeneracy"] == "point"
+    assert payload["semi_axes"] == [0.0, 0.0, 0.0]
+    params = conjectures.MixtureParams(
+        lam=mixture["lambda"], alpha=mixture["alpha"], beta=mixture["beta"]
+    )
+    np.testing.assert_allclose(
+        payload["center"], conjectures.mixture_bloch_a(params), rtol=0.0, atol=1e-9
+    )
+
+
 # ---- dynamics ------------------------------------------------------------
 
 
@@ -313,6 +350,18 @@ def test_dynamics_csv(capsys):
     assert first[5] == "equi_entropy"
     last = lines[-1].split(",")
     assert last[5] == "quasi_eigen"
+
+
+def test_dynamics_non_x_state_through_singular_r(capsys, rng):
+    # full amplitude damping drives R singular on a state that is not X-shaped
+    spec = json.dumps(dump_state(ginibre_state(rng)))
+    argv = ["dynamics", "--state", spec, "--channel", "amplitude_damping", "--rate", "1",
+            "--t-max", "40", "--steps", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert rows[0] == ["t", "gamma", "I", "C", "Q", "branch", "l1", "l2", "l3"]
+    assert len(rows) == 1 + 3
 
 
 def test_dynamics_fast_rejects_non_x(capsys):

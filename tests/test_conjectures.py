@@ -600,11 +600,10 @@ def test_min_chord_entropy_validation():
     ellipsoid = steering_ellipsoid(offaxis_reference_state())
     with pytest.raises(ValueError, match="outside"):
         min_chord_entropy((ellipsoid.center, ellipsoid.semi_axes), [0.9, 0.0, 0.57])
-    from discordlab.steering import classify_degenerate
-    from discordlab.qstate import XStateParams
+    from discordlab.qstate import XStateParams, make_x_state
 
-    flat = classify_degenerate(
-        XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1)
+    flat = steering_ellipsoid(
+        make_x_state(XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1))
     )
     with pytest.raises(ValueError, match="nondegenerate"):
         min_chord_entropy(flat, [0.0, 0.0, 0.0])

@@ -5,33 +5,42 @@ from conftest import ginibre_state, random_direction, random_x_params
 from discordlab.discord import ProjectiveMeasurement, post_measurement_ensemble
 from discordlab.qstate import (
     BellDiagonalParams,
+    TwoQubitState,
     XStateParams,
+    bloch_vector,
     make_bell_diagonal,
     make_x_state,
+    partial_trace,
     pauli_expansion,
 )
 from discordlab.steering import (
-    NotAnEllipsoidError,
-    QuadricForm,
-    SingularRError,
-    classify_degenerate,
     contains,
-    ellipsoid_from_x_state,
-    quadric_to_ellipsoid,
     steering_ellipsoid,
-    steering_quadric,
     surface_points,
     x_frame_geometry,
-    x_state_det,
 )
 
 WORKED = XStateParams(a=0.4, b=0.1, c=0.2, d=0.3, u=0.1, v=0.1)
+
+# one X state per degenerate class, with the class steering_ellipsoid gives it
+DEGENERATE_X = [
+    # ad = bc with unequal coherences: horizontal filled ellipse
+    (XStateParams(a=4 / 9, b=2 / 9, c=2 / 9, d=1 / 9, u=0.15, v=0.05), "ellipse"),
+    # equal coherences with ad != bc: ellipse spanning the vertical axis
+    (WORKED, "ellipse"),
+    # equal coherences and ad = bc: in-plane segment
+    (XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1), "segment"),
+    # no coherence, ad != bc: the vertical segment between the two apexes
+    (XStateParams(a=0.4, b=0.1, c=0.2, d=0.3, u=0.0, v=0.0), "segment"),
+    # product state
+    (XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.0, v=0.0), "point"),
+]
 
 
 def nonsingular_x_params(rng):
     while True:
         params = random_x_params(rng)
-        if abs(x_state_det(params)) > 1e-6:
+        if abs(pauli_expansion(make_x_state(params)).det) > 1e-6:
             return params
 
 
@@ -44,25 +53,6 @@ def test_x_frame_geometry_worked_example():
     assert phi == 0.0
 
 
-def test_x_state_det_matches_numeric(rng):
-    for _ in range(20):
-        params = random_x_params(rng)
-        numeric = np.linalg.det(pauli_expansion(make_x_state(params)).entries)
-        assert x_state_det(params) == pytest.approx(numeric, abs=1e-12)
-
-
-def test_steering_quadric_rejects_singular():
-    with pytest.raises(SingularRError, match="singular"):
-        steering_quadric(pauli_expansion(make_x_state(WORKED)))
-
-
-def test_quadric_form_requires_symmetry():
-    m = np.eye(4)
-    m[0, 1] = 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadricForm(m)
-
-
 def test_bell_diagonal_ellipsoid_is_origin_centered():
     ellipsoid = steering_ellipsoid(make_bell_diagonal(BellDiagonalParams(0.5, -0.5, 0.5)))
     np.testing.assert_allclose(ellipsoid.center, 0.0, atol=1e-12)
@@ -70,29 +60,47 @@ def test_bell_diagonal_ellipsoid_is_origin_centered():
     assert ellipsoid.degeneracy == "full"
 
 
-def test_quadric_route_matches_x_closed_form(rng):
-    for _ in range(20):
-        params = nonsingular_x_params(rng)
-        numeric = quadric_to_ellipsoid(
-            steering_quadric(pauli_expansion(make_x_state(params)))
+def test_steering_ellipsoid_matches_x_closed_form(rng):
+    params = [random_x_params(rng) for _ in range(2000)]
+    params += [p for p, _ in DEGENERATE_X]
+    for p in params:
+        ellipsoid = steering_ellipsoid(make_x_state(p))
+        l1, l2, l3, y3, _ = x_frame_geometry(p)
+        np.testing.assert_allclose(
+            ellipsoid.semi_axes, sorted((l1, l2, l3), reverse=True), rtol=0.0, atol=1e-12
         )
-        closed = ellipsoid_from_x_state(params)
-        assert closed.degeneracy == "full"
-        np.testing.assert_allclose(numeric.center, closed.center, atol=1e-8)
-        np.testing.assert_allclose(numeric.semi_axes, closed.semi_axes, atol=1e-8)
+        np.testing.assert_allclose(ellipsoid.center, [0.0, 0.0, y3], rtol=0.0, atol=1e-12)
+
+
+def test_surface_points_solve_the_paper_quadric(rng):
+    # the paper's quadric Q = R^{-T} eta R^{-1}, kept here as a reference
+    # for states whose R is well away from singular
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    states = [ginibre_state(rng) for _ in range(40)]
+    states += [make_x_state(random_x_params(rng)) for _ in range(200)]
+    checked = 0
+    for state in states:
+        r = pauli_expansion(state)
+        if abs(r.det) < 1e-3:
+            continue
+        checked += 1
+        rinv = np.linalg.inv(r.entries)
+        quadric = rinv.T @ eta @ rinv
+        points = surface_points(steering_ellipsoid(state), 20, rng)
+        homogeneous = np.column_stack([np.ones(len(points)), points])
+        values = np.einsum("ki,ij,kj->k", homogeneous, quadric, homogeneous)
+        assert np.abs(values).max() <= 1e-9
+    assert checked >= 20
 
 
 def test_orientation_agrees_mod_pi(rng):
     for _ in range(10):
         params = nonsingular_x_params(rng)
-        l1, l2, _, _, _ = x_frame_geometry(params)
+        l1, l2, _, _, phi = x_frame_geometry(params)
         if l1 - l2 < 1e-3:
             continue  # in-plane orientation ill-conditioned near circular sections
-        numeric = quadric_to_ellipsoid(
-            steering_quadric(pauli_expansion(make_x_state(params)))
-        )
-        closed = ellipsoid_from_x_state(params)
-        diff = (numeric.orientation - closed.orientation) % np.pi
+        numeric = steering_ellipsoid(make_x_state(params))
+        diff = (numeric.orientation - phi) % np.pi
         assert min(diff, np.pi - diff) == pytest.approx(0.0, abs=1e-7)
 
 
@@ -104,53 +112,36 @@ def test_rotation_is_orthogonal_right_handed(rng):
     assert ellipsoid.semi_axes[0] >= ellipsoid.semi_axes[1] >= ellipsoid.semi_axes[2]
 
 
-@pytest.mark.parametrize(
-    "params, expected",
-    [
-        # ad = bc with unequal coherences: horizontal filled ellipse
-        (XStateParams(a=4 / 9, b=2 / 9, c=2 / 9, d=1 / 9, u=0.15, v=0.05), "ellipse"),
-        # equal coherences with ad != bc: ellipse spanning the vertical axis
-        (WORKED, "ellipse"),
-        # equal coherences and ad = bc: in-plane segment
-        (XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1), "segment"),
-        # no coherence, distinct apexes
-        (XStateParams(a=0.4, b=0.1, c=0.2, d=0.3, u=0.0, v=0.0), "point_pair"),
-        # product state
-        (XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.0, v=0.0), "point"),
-    ],
-)
+@pytest.mark.parametrize("params, expected", DEGENERATE_X)
 def test_degenerate_classes(params, expected):
-    assert abs(x_state_det(params)) <= 1e-10
-    ellipsoid = classify_degenerate(params)
-    assert ellipsoid.degeneracy == expected
-    assert ellipsoid is not None
-    # dispatch through the generic entry point agrees
+    assert abs(pauli_expansion(make_x_state(params)).det) <= 1e-10
     assert steering_ellipsoid(make_x_state(params)).degeneracy == expected
 
 
 def test_degenerate_point_center():
     params = XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.0, v=0.0)
-    ellipsoid = classify_degenerate(params)
+    ellipsoid = steering_ellipsoid(make_x_state(params))
     np.testing.assert_allclose(ellipsoid.center, [0.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(ellipsoid.semi_axes, 0.0, atol=1e-14)
 
 
-def test_singular_non_x_state_raises(rng):
-    # a generic product state has singular R and no X structure
+def test_product_state_steers_a_single_point(rng):
+    # a generic product state has singular R and no X structure; whatever B
+    # measures, A stays at its own Bloch vector, with B's marginal pure or mixed
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
+    rho_a = 0.8 * np.outer(psi, psi.conj()) + 0.1 * np.eye(2)
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi /= np.linalg.norm(phi)
-    rho = np.kron(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
-    from discordlab.qstate import TwoQubitState
-
-    with pytest.raises(SingularRError, match="not X-shaped"):
-        steering_ellipsoid(TwoQubitState(rho))
-
-
-def test_not_an_ellipsoid_rejects_indefinite_quadric():
-    with pytest.raises(NotAnEllipsoidError, match="definite"):
-        quadric_to_ellipsoid(QuadricForm(np.diag([1.0, -1.0, 1.0, -1.0])))
+    pure_b = np.outer(phi, phi.conj())
+    for rho_b in (pure_b, 0.7 * pure_b + 0.15 * np.eye(2)):
+        state = TwoQubitState(np.kron(rho_a, rho_b))
+        ellipsoid = steering_ellipsoid(state)
+        assert ellipsoid.degeneracy == "point"
+        assert np.all(ellipsoid.semi_axes == 0.0)
+        np.testing.assert_allclose(
+            ellipsoid.center, bloch_vector(partial_trace(state, "A")), rtol=0.0, atol=1e-12
+        )
 
 
 def test_steered_points_lie_on_surface(rng):
@@ -181,8 +172,8 @@ def test_contains_interior_and_exterior():
 
 
 def test_contains_collapsed_axis_offsets():
-    segment = classify_degenerate(
-        XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1)
+    segment = steering_ellipsoid(
+        make_x_state(XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1))
     )
     on_line, margin = contains(segment, [0.1, 0.0, 0.0])
     assert on_line and margin >= 0.0

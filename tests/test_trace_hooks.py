@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` replaces the layers' functions with span-recording
 wrappers.  A renamed or bypassed function would leave its span empty and
 only show up as missing per-layer metrics, so this test runs a traced
-``compute`` and ``conjecture mixture`` and checks that the kernel spans
-were recorded.
+``compute``, ``conjecture mixture`` and ``dynamics`` and checks that the
+kernel spans were recorded, and that trajectories of X states still take
+their axes from the X closed form.
 """
 
 import json
@@ -27,10 +28,13 @@ rng = np.random.default_rng(3)
 g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 m = g @ g.conj().T
 spec = json.dumps(cli.dump_state(TwoQubitState(m / m.trace().real)))
+xspec = '{"xstate": {"a": 0.4, "b": 0.1, "c": 0.2, "d": 0.3, "u": 0.1, "v": 0.05}}'
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [
         cli.parse_and_dispatch(["compute", "--state", spec]),
         cli.parse_and_dispatch(["conjecture", "mixture", "--samples", "3", "--seed", "1"]),
+        cli.parse_and_dispatch(["dynamics", "--state", xspec, "--rate", "1", "--t-max", "1",
+                                "--steps", "3"]),
     ]
 print(json.dumps({"codes": codes, "spans": sorted(set(tracer.names))}))
 """
@@ -45,12 +49,14 @@ def test_benchmark_spans_reach_the_kernels():
         cwd=ROOT,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     expected = {
         "kernels.oracle",
         "kernels.grid_build",
         "kernels.grid_eval",
         "kernels.refine",
         "kernels.circle_scan",
+        "steering.geometry",
+        "dynamics.channel",
     }
     assert expected <= set(result["spans"])
