@@ -98,6 +98,13 @@ def _entropy_of_norms(x):
     return -hp * np.log2(hp) - hq * np.log2(np.where(hq > 0.0, hq, 1.0))
 
 
+def _project(r, terms):
+    """b.n (row 0) and T n (rows 1-3) per state, (N, 4, m); arguments as for ``_outcomes``."""
+    return functools.reduce(
+        np.add, (r[:, :, k, np.newaxis] * n_k[..., np.newaxis, :] for k, n_k in terms)
+    )
+
+
 def _outcomes(r, terms):
     """Outcome probabilities p+- and steered norms |y+-| at n = sum_k n_k e_k, per state.
 
@@ -112,9 +119,7 @@ def _outcomes(r, terms):
     matrix product, so a result does not depend on which other states or
     directions share the call.
     """
-    rn = functools.reduce(  # (N, 4, m): b.n, then T n
-        np.add, (r[:, :, k, np.newaxis] * n_k[..., np.newaxis, :] for k, n_k in terms)
-    )
+    rn = _project(r, terms)
     p = 0.5 * (1.0 + _SIGNS * rn[:, 0])
     w_sq = 0.0
     for i in (1, 2, 3):  # |w+-|^2, one component of w = (a +- T n)/2 at a time

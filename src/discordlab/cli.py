@@ -47,12 +47,11 @@ from .qstate import (
     InvalidStateError,
     TwoQubitState,
     XStateParams,
-    extract_x_params,
     make_bell_diagonal,
     make_x_state,
     pauli_expansion,
 )
-from .steering import steering_ellipsoid, x_frame_geometry
+from .steering import steering_ellipsoid
 
 __all__ = [
     "StateLoadError",
@@ -330,14 +329,6 @@ def _cmd_ellipsoid(args):
     return 0
 
 
-def _trajectory_axes(state):
-    params = extract_x_params(state)
-    if params is not None:
-        l1, l2, l3, _, _ = x_frame_geometry(params)
-        return l1, l2, l3
-    return tuple(steering_ellipsoid(state).semi_axes)
-
-
 def _cmd_dynamics(args):
     state = load_state(args.state)
     trajectory = evolve_trajectory(
@@ -351,24 +342,12 @@ def _cmd_dynamics(args):
     )
     t_bar = trajectory.critical_time
     t_bar_text = "none" if t_bar is None else repr(float(t_bar))
-    rows = []
-    for t, gamma, snapshot, report in zip(
-        trajectory.times, trajectory.gammas, trajectory.states, trajectory.reports
-    ):
-        l1, l2, l3 = _trajectory_axes(snapshot)
-        rows.append(
-            (
-                t,
-                gamma,
-                report.mutual_info,
-                report.classical,
-                report.discord,
-                report.branch,
-                l1,
-                l2,
-                l3,
-            )
+    rows = [
+        (t, gamma, report.mutual_info, report.classical, report.discord, report.branch, *axes)
+        for t, gamma, report, axes in zip(
+            trajectory.times, trajectory.gammas, trajectory.reports, trajectory.semi_axes
         )
+    ]
     text = _csv_text(
         args,
         ("t", "gamma", "I", "C", "Q", "branch", "l1", "l2", "l3"),

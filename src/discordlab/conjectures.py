@@ -38,8 +38,9 @@ from ._kernels import (
 from .discord import (
     BRANCH_EQUI_ENTROPY,
     DEFAULT_GRID,
-    CorrelationReport,
     ProjectiveMeasurement,
+    _assemble,
+    _entropies,
     brute_force_min_entropy,
     post_measurement_ensemble,
 )
@@ -50,11 +51,8 @@ from .qstate import (
     _density_matrix,
     _lowest_eigenvalue,
     binary_entropy,
-    mutual_information,
-    partial_trace,
     pauli_expansion,
     reconstruct_state,
-    von_neumann_entropy,
 )
 from .steering import SteeringEllipsoid
 
@@ -451,14 +449,13 @@ def _mixture_stack(lam, alpha, beta, n_polar, threads=1):
 
     R comes in closed form (``_mixture_r``) and goes to the exact circle
     oracle in chunks of ``_SURVEY_CHUNK``, mapped over ``threads``
-    workers; I and S(rho_A) come from stacked ``eigvalsh`` calls on the
-    family's density matrices (``_mixture_matrix``).  No state is built,
-    and every entry is bitwise the same whatever the chunking or threads.
+    workers; I and S(rho_A) come from the correlation core's
+    ``discord._entropies`` on R.  No state is built, and every entry is
+    bitwise the same whatever the chunking or threads.
     """
     r = _mixture_r(lam, alpha, beta)
     chunks = [r[i : i + _SURVEY_CHUNK] for i in range(0, len(r), _SURVEY_CHUNK)]
     done = _parallel_map(lambda chunk: _circle_oracle(chunk, n_polar), chunks, threads)
-    rho = _mixture_matrix(lam, alpha, beta)
     return _MixtureStack(
         lam,
         alpha,
@@ -466,8 +463,7 @@ def _mixture_stack(lam, alpha, beta, n_polar, threads=1):
         r,
         np.concatenate([value for value, _ in done]),
         np.concatenate([n for _, n in done]),
-        mutual_information(rho),
-        von_neumann_entropy(partial_trace(rho, "A")),
+        *_entropies(r, _density_matrix(r)),
     )
 
 
@@ -475,45 +471,31 @@ def _conjecture_reports(stack):
     """Correlation reports of a ``_MixtureStack``'s states, assuming the conjecture.
 
     The constrained maximiser runs on the whole stack and gives each state's
-    least equi-norm average entropy h(|y+-|); C = S(rho^A) less that, with
-    S(rho^A) from the norm of R's column 0.  Where the constraint is vacuous
-    (every measurement equi-norm, as on product states) the constrained
-    optimum is the circle's minimum, so the stack's oracle value and
-    direction are taken, exact by definition.  The
+    least equi-norm average entropy h(|y+-|); C = S(rho^A) less that.
+    Where the constraint is vacuous (every measurement equi-norm, as on
+    product states) the constrained optimum is the circle's minimum, so the
+    stack's oracle value and direction are taken, exact by definition.  The
     oracle values are also the guard: a disagreement beyond 1e-4 bits raises
     :class:`ConjectureViolationError` with the counterexample attached.
     """
     values, xis = _constrained_optimum(stack.r)
     flat = np.isnan(values)
     values = np.where(flat, stack.oracle_value, values)
-    reports = []
-    for k, (value, xi) in enumerate(zip(values.tolist(), xis.tolist())):
-        if abs(value - stack.oracle_value[k]) > 1e-4:
-            p = MixtureParams(lam=stack.lam[k], alpha=stack.alpha[k], beta=stack.beta[k])
-            raise ConjectureViolationError(
-                f"constrained optimum {value:.9g} vs oracle {stack.oracle_value[k]:.9g} "
-                f"at lam={p.lam:.9g} alpha={p.alpha:.9g} beta={p.beta:.9g}",
-                params=p,
-                constrained=value,
-                unconstrained=float(stack.oracle_value[k]),
-                measurement=ProjectiveMeasurement(stack.oracle_n[k]),
-            )
-        n = stack.oracle_n[k] if flat[k] else np.array([np.sin(xi), 0.0, np.cos(xi)])
-        measurement = ProjectiveMeasurement(n)
-        info = float(stack.info[k])
-        classical = binary_entropy(np.linalg.norm(stack.r[k, 1:, 0])) - value
-        reports.append(
-            CorrelationReport(
-                mutual_info=info,
-                classical=classical,
-                discord=info - classical,
-                min_avg_entropy=value,
-                optimal_measurement=measurement,
-                optimal_ensemble=post_measurement_ensemble(stack.r[k], measurement),
-                branch=BRANCH_EQUI_ENTROPY,
-            )
+    off = np.flatnonzero(np.abs(values - stack.oracle_value) > 1e-4)
+    if len(off):
+        k = off[0]
+        p = MixtureParams(lam=stack.lam[k], alpha=stack.alpha[k], beta=stack.beta[k])
+        raise ConjectureViolationError(
+            f"constrained optimum {values[k]:.9g} vs oracle {stack.oracle_value[k]:.9g} "
+            f"at lam={p.lam:.9g} alpha={p.alpha:.9g} beta={p.beta:.9g}",
+            params=p,
+            constrained=float(values[k]),
+            unconstrained=float(stack.oracle_value[k]),
+            measurement=ProjectiveMeasurement(stack.oracle_n[k]),
         )
-    return reports
+    n = np.stack((np.sin(xis), np.zeros_like(xis), np.cos(xis)), axis=-1)
+    n = np.where(flat[:, np.newaxis], stack.oracle_n, n)
+    return _assemble(stack.r, stack.info, stack.s_a, values, n, [BRANCH_EQUI_ENTROPY] * len(n))
 
 
 def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
@@ -548,7 +530,7 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     All cells make one stacked pass (``_mixture_stack``): closed-form R,
     the circle oracle in chunks over ``threads`` workers, which gives the
     mirror cells' minimum and the guard of the others, and I and S(rho_A)
-    from stacked ``eigvalsh`` calls.  The constrained cells then go to
+    from the correlation core.  The constrained cells then go to
     ``_conjecture_reports`` as one stack, whose maximiser is one stacked
     ``eigvals`` call with no per-cell loop.  Rows do not depend on
     ``threads``.  Raises ValueError if ``lam`` lies outside [0, 1] or

@@ -11,6 +11,7 @@ Bloch vector, r_A Alice's and T the 3x3 correlation block of R.  The
 classical correlation is C = S(rho^A) - min over n of the average entropy
 sum_k p_k h(|y_k|), and the discord is Q = I - C.
 
+Every report comes from one stacked core on R (``_core``, ``_assemble``).
 For X-shaped states the minimum is one of two closed-form candidates:
 
 * quasi-eigendecomposition, n along z, value
@@ -26,13 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import P_FLOOR, _directions, min_entropy_scan
+from ._kernels import (
+    P_FLOOR,
+    _avg_entropy,
+    _directions,
+    _entropy_of_norms,
+    _project,
+    min_entropy_scan,
+)
 from .qstate import (
+    _OFF_X,
+    X_STRUCTURE_TOL,
     CorrelationMatrix,
+    _density_matrix,
+    _x_matrix,
     binary_entropy,
-    extract_x_params,
-    mutual_information,
-    partial_trace,
     pauli_expansion,
     swap_parties,
     von_neumann_entropy,
@@ -152,36 +161,38 @@ def _entries(r):
 
 
 def _onto_unit_ball(y, p):
-    """Pull a steered Bloch vector that leaves the unit ball by round-off back
-    onto the sphere.
+    """Pull steered Bloch vectors that leave the unit ball by round-off back
+    onto the sphere: y (..., 3) at outcome probabilities p (...).
 
     p y is known to a few machine epsilons absolute, so |y| carries an
     error of order eps / p: surface points of a rare outcome can land just
     outside, which the scan kernels absorb by clamping |y| at 1.  Vectors
     farther out are returned as they are, for ``EnsembleMember`` to reject.
     """
-    norm = np.linalg.norm(y)
-    if 1.0 < norm <= 1.0 + 1e-9 + 16.0 * np.finfo(np.float64).eps / p:
-        return y / norm
-    return y
+    norm = np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
+    band = 1.0 + 1e-9 + 16.0 * np.finfo(np.float64).eps / p[..., np.newaxis]
+    return y / np.where((1.0 < norm) & (norm <= band), norm, 1.0)
+
+
+def _ensembles(r, n):
+    """Ensembles of an (N, 4, 4) stack of R along its (N, 3) directions, from ``_project``."""
+    rn = _project(r, ((1, n[:, :1]), (2, n[:, 1:2]), (3, n[:, 2:])))[..., 0]
+    signs = np.array([1.0, -1.0])
+    p = 0.5 * (1.0 + signs * rn[:, :1])
+    w = 0.5 * (r[:, np.newaxis, 1:, 0] + signs[:, np.newaxis] * rn[:, np.newaxis, 1:])
+    live = p > P_FLOOR  # other outcomes have no Bloch vector: p = 0, y = 0
+    q = np.where(live, p, 1.0)
+    y = np.where(live[..., np.newaxis], _onto_unit_ball(w / q[..., np.newaxis], q), 0.0)
+    p = np.where(live, np.minimum(p, 1.0), 0.0)
+    return [
+        tuple(map(EnsembleMember, probabilities, blochs, dead))
+        for probabilities, blochs, dead in zip(p.tolist(), y, (~live).tolist())
+    ]
 
 
 def post_measurement_ensemble(r, m):
     """Both ensemble members induced on A by measuring B along m.direction."""
-    entries = _entries(r)
-    n = m.direction
-    b = entries[0, 1:]
-    a = entries[1:, 0]
-    t_n = entries[1:, 1:] @ n
-    members = []
-    for sign in (1.0, -1.0):
-        p = 0.5 * (1.0 + sign * (b @ n))
-        w = 0.5 * (a + sign * t_n)
-        if p <= P_FLOOR:
-            members.append(EnsembleMember(0.0, np.zeros(3), zero_probability=True))
-            continue
-        members.append(EnsembleMember(min(p, 1.0), _onto_unit_ball(w / p, p)))
-    return tuple(members)
+    return _ensembles(_entries(r)[np.newaxis], m.direction[np.newaxis])[0]
 
 
 def avg_entropy(ensemble):
@@ -197,28 +208,34 @@ def avg_entropy(ensemble):
     return float(s)
 
 
-def _quasi_eigen_value(params):
-    # vertical chord through the apexes; empty-weight terms contribute 0
-    p = params.a + params.c
-    q = params.b + params.d
-    s = 0.0
-    if p > P_FLOOR:
-        s += p * binary_entropy(abs(params.a - params.c) / p)
-    if q > P_FLOOR:
-        s += q * binary_entropy(abs(params.b - params.d) / q)
-    return s
+def _x_candidates(r):
+    """S_GH, S_EF and the equi-entropy direction of each X-shaped R in an (N, 4, 4) stack.
+
+    The oracle's evaluator gives S_GH at e_z and S_EF at (sin theta, cos
+    theta, 0), theta = (pi + mu - nu)/2, mu and nu being the phases of
+    rho_03 and rho_12 read from T (0 up to 1e-15, as in extract_x_params).
+    """
+    t = r[:, 1:3, 1:3]
+    outer = 0.25 * ((t[:, 0, 0] - t[:, 1, 1]) - 1j * (t[:, 0, 1] + t[:, 1, 0]))
+    inner = 0.25 * ((t[:, 0, 0] + t[:, 1, 1]) + 1j * (t[:, 0, 1] - t[:, 1, 0]))
+    mu, nu = (np.where(np.abs(z) > 1e-15, np.angle(z), 0.0) for z in (outer, inner))
+    theta = 0.5 * (np.pi + mu - nu)
+    n = np.stack((np.sin(theta), np.cos(theta), np.zeros_like(theta)), axis=-1)
+    s_gh = _avg_entropy(r, ((3, np.ones(1)),))[:, 0]
+    s_ef = _avg_entropy(r, ((1, n[:, :1]), (2, n[:, 1:2])))[:, 0]
+    # an ensemble of pure states sums -0.0 entropies: report +0.0
+    return s_gh + 0.0, s_ef + 0.0, n
 
 
-def _equi_entropy_value(params):
-    r3 = params.a + params.b - params.c - params.d
-    reach = 2.0 * (params.u + params.v)
-    return binary_entropy(np.sqrt(reach * reach + r3 * r3))
-
-
-def _equi_entropy_direction(params):
-    # azimuthal angle maximizing the steered in-plane radius
-    theta = 0.5 * (np.pi + params.mu - params.nu)
-    return np.array([np.sin(theta), np.cos(theta), 0.0])
+def _x_minimum(r):
+    """Values, directions and branches of X rows: the better candidate, ties to quasi_eigen."""
+    s_gh, s_ef, n_equi = _x_candidates(r)
+    quasi = s_gh - s_ef <= TIE_TOL
+    return (
+        np.where(quasi, s_gh, s_ef),
+        np.where(quasi[:, np.newaxis], [0.0, 0.0, 1.0], n_equi),
+        np.where(quasi, BRANCH_QUASI_EIGEN, BRANCH_EQUI_ENTROPY),
+    )
 
 
 def x_state_min_entropy(params):
@@ -228,11 +245,8 @@ def x_state_min_entropy(params):
     ties within 1e-12 go to quasi_eigen.  The two-candidate rule extends
     to degenerate (singular-R) X states by continuity in the parameters.
     """
-    s_gh = _quasi_eigen_value(params)
-    s_ef = _equi_entropy_value(params)
-    if s_gh - s_ef <= TIE_TOL:
-        return s_gh, BRANCH_QUASI_EIGEN
-    return s_ef, BRANCH_EQUI_ENTROPY
+    value, _, branch = _x_minimum(pauli_expansion(_x_matrix(params)).entries[np.newaxis])
+    return float(value[0]), str(branch[0])
 
 
 def bell_diagonal_min_entropy(t):
@@ -265,6 +279,58 @@ def _direction_key(direction):
     return key
 
 
+def _entropies(r, rho):
+    """I(A:B) and S(rho_A) = h(|R[1:, 0]|) of each R in an (N, 4, 4) stack;
+    S(rho_AB)'s stacked eigvalsh of ``rho`` is the positivity check."""
+    norms = np.linalg.norm(np.stack((r[:, 1:, 0], r[:, 0, 1:])), axis=-1)
+    s_a, s_b = _entropy_of_norms(np.minimum(norms, 1.0))
+    return s_a + s_b - von_neumann_entropy(rho), s_a
+
+
+def _core(r, method="auto", grid=DEFAULT_GRID):
+    """``(info, s_a, values, directions, branches)`` of an (N, 4, 4) stack of R.
+
+    Rows are routed here only: X rows (the test of ``extract_x_params``)
+    to the closed forms unless ``method`` is numeric, the others one by one
+    to the oracle, or to UnsupportedStructureError if ``method`` is
+    analytic.  A row's results do not depend on the rest of the stack.
+    """
+    rho = _density_matrix(r)
+    info, s_a = _entropies(r, rho)
+    off_x = np.abs(rho[:, _OFF_X[0], _OFF_X[1]]).max(axis=1)
+    x = (off_x <= X_STRUCTURE_TOL) & (method != "numeric")
+    if method == "analytic" and not x.all():
+        raise UnsupportedStructureError(
+            "analytic closed form requires an X-shaped density matrix"
+        )
+    values, directions = np.empty(len(r)), np.empty((len(r), 3))
+    branches = np.full(len(r), BRANCH_NUMERIC, dtype=object)
+    if x.any():
+        values[x], directions[x], branches[x] = _x_minimum(r[x])
+    for k in np.flatnonzero(~x):
+        values[k], measurement = brute_force_min_entropy(r[k], grid=grid)
+        directions[k] = measurement.direction
+    return info, s_a, values, directions, branches
+
+
+def _assemble(r, info, s_a, values, directions, branches):
+    """One CorrelationReport per R of an (N, 4, 4) stack from ``_core``'s arrays."""
+    classical = s_a - values
+    rows = zip(info.tolist(), classical.tolist(), values.tolist(), directions, branches)
+    return tuple(
+        CorrelationReport(
+            mutual_info=i,
+            classical=c,
+            discord=i - c,
+            min_avg_entropy=v,
+            optimal_measurement=ProjectiveMeasurement(n),
+            optimal_ensemble=ensemble,
+            branch=str(branch),
+        )
+        for (i, c, v, n, branch), ensemble in zip(rows, _ensembles(r, directions))
+    )
+
+
 def correlation_report(rho, direction="b_to_a", method="auto", grid=DEFAULT_GRID):
     """Mutual information, classical correlation and discord of a state.
 
@@ -273,38 +339,10 @@ def correlation_report(rho, direction="b_to_a", method="auto", grid=DEFAULT_GRID
     eight non-X entries vanish within 1e-12 and the oracle otherwise;
     analytic insists on the closed form and raises
     :class:`UnsupportedStructureError` for non-X states; numeric always
-    runs the oracle on the given grid.
+    runs the oracle on the given grid.  It is the stacked core's one-row call.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"method must be auto, analytic or numeric, got {method!r}")
     work = rho if _direction_key(direction) == "b_to_a" else swap_parties(rho)
-    r = pauli_expansion(work)
-    info = mutual_information(work)
-    s_a = von_neumann_entropy(partial_trace(work, keep="A"))
-
-    params = extract_x_params(work) if method != "numeric" else None
-    if method == "analytic" and params is None:
-        raise UnsupportedStructureError(
-            "analytic closed form requires an X-shaped density matrix"
-        )
-    if params is not None:
-        value, branch = x_state_min_entropy(params)
-        if branch == BRANCH_QUASI_EIGEN:
-            measurement = ProjectiveMeasurement(np.array([0.0, 0.0, 1.0]))
-        else:
-            measurement = ProjectiveMeasurement(_equi_entropy_direction(params))
-    else:
-        value, measurement = brute_force_min_entropy(r, grid=grid)
-        branch = BRANCH_NUMERIC
-
-    ensemble = post_measurement_ensemble(r, measurement)
-    classical = s_a - value
-    return CorrelationReport(
-        mutual_info=info,
-        classical=classical,
-        discord=info - classical,
-        min_avg_entropy=float(value),
-        optimal_measurement=measurement,
-        optimal_ensemble=ensemble,
-        branch=branch,
-    )
+    r = pauli_expansion(work).entries[np.newaxis]
+    return _assemble(r, *_core(r, method, grid))[0]

@@ -12,7 +12,8 @@ S_GH stays put: the optimal branch can switch once, from equi_entropy to
 quasi_eigen, at a critical time t_bar where the classical correlation
 develops a kink and stays constant afterwards.  Amplitude damping and
 Pauli channels are provided as well; they preserve the X form but carry
-no constancy claim.
+no constancy claim.  A trajectory goes through the correlation core as
+one stack of R(t).
 """
 
 import re
@@ -23,18 +24,20 @@ import numpy as np
 from .discord import (
     DEFAULT_GRID,
     TIE_TOL,
-    _equi_entropy_value,
-    _quasi_eigen_value,
-    correlation_report,
+    _assemble,
+    _core,
+    _x_candidates,
 )
 from .qstate import (
     BellDiagonalParams,
     XStateParams,
+    _x_matrix,
     binary_entropy,
     extract_x_params,
     pauli_expansion,
     reconstruct_state,
 )
+from .steering import _factor_svd
 
 __all__ = [
     "PhaseDampingChannel",
@@ -81,6 +84,8 @@ class PhaseDampingChannel:
 class Trajectory:
     """Correlation reports along a strictly increasing time grid.
 
+    ``semi_axes`` holds, per step, the steering ellipsoid's semi-axes in
+    descending order, as :func:`steering.steering_ellipsoid` gives them.
     ``critical_time`` is the phase-damping branch-switch time t_bar, or
     None when the state starts on the quasi-eigen branch or never
     switches; it is reported even when it falls outside the grid.
@@ -88,22 +93,17 @@ class Trajectory:
 
     times: np.ndarray
     gammas: np.ndarray
-    states: tuple
     reports: tuple
+    semi_axes: np.ndarray
     critical_time: object
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=np.float64)
-        g = np.array(self.gammas, dtype=np.float64)
-        if t.ndim != 1 or len(t) != len(self.reports) or len(t) != len(self.states):
-            raise ValueError("times, states and reports must have matching lengths")
-        if np.any(np.diff(t) <= 0.0):
+        if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("time points must be strictly increasing")
-        t.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "states", tuple(self.states))
+        for name in ("times", "gammas", "semi_axes"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "reports", tuple(self.reports))
 
 
@@ -139,18 +139,16 @@ def _transfer(name, strength):
     )
 
 
-def _apply(rho, lam, both_parties):
+def _check_blocks(lam):
     # an X state's R lives on the {1, sigma_z} and {sigma_x, sigma_y}
     # blocks; a map that keeps the two blocks apart keeps the X shape
-    if lam[np.ix_([0, 3], [1, 2])].any() or lam[np.ix_([1, 2], [0, 3])].any():
+    if lam[..., [[0], [3]], [1, 2]].any() or lam[..., [[1], [2]], [0, 3]].any():
         raise RuntimeError("channel map mixes {1, sigma_z} with {sigma_x, sigma_y}")
-    r = pauli_expansion(rho).entries @ lam.T  # channel on the measured qubit B
-    return reconstruct_state(lam @ r if both_parties else r)
 
 
 def apply_channel(rho, ch, both_parties=True):
     """Phase damping applied to both qubits, or to qubit B alone."""
-    return _apply(rho, _transfer("phase_damping", ch.gamma), both_parties)
+    return apply_named_channel(rho, "phase_damping", ch.gamma, both_parties)
 
 
 def apply_named_channel(rho, name, strength, both_parties=True):
@@ -163,7 +161,10 @@ def apply_named_channel(rho, name, strength, both_parties=True):
     the X shape; a Lambda that mixes {1, sigma_z} with {sigma_x, sigma_y}
     raises RuntimeError.
     """
-    return _apply(rho, _transfer(name, strength), both_parties)
+    lam = _transfer(name, strength)
+    _check_blocks(lam)
+    r = pauli_expansion(rho).entries @ lam.T  # channel on the measured qubit B
+    return reconstruct_state(lam @ r if both_parties else r)
 
 
 def _as_x_params(params):
@@ -187,8 +188,9 @@ def critical_time(params, rate):
     if rate <= 0.0:
         raise ValueError(f"damping rate must be positive, got {rate!r}")
     p = _as_x_params(params)
-    s_gh = _quasi_eigen_value(p)
-    if _equi_entropy_value(p) >= s_gh - TIE_TOL:
+    s_gh, s_ef, _ = _x_candidates(pauli_expansion(_x_matrix(p)).entries[np.newaxis])
+    s_gh = float(s_gh[0])
+    if s_gh - s_ef[0] <= TIE_TOL:
         return None  # quasi_eigen from the start
     r3 = p.a + p.b - p.c - p.d
     reach = 2.0 * (p.u + p.v)
@@ -216,23 +218,16 @@ def critical_time(params, rate):
     return 0.5 * (t_lo + t_hi)
 
 
-def _strength_at(name, rate, t):
-    # phase damping is parameterized by the surviving coherence fraction,
-    # the others by the accumulated decay probability
-    if name == "phase_damping":
-        return float(np.exp(-rate * t))
-    return float(1.0 - np.exp(-rate * t))
-
-
 def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=False,
                       grid=DEFAULT_GRID):
     """Correlation trajectory of ``rho0`` under a named two-sided channel.
 
-    Each step applies the channel to the initial state with the
-    accumulated strength for gamma(t) = exp(-rate * t) and computes a
-    correlation report (closed form for X states, oracle otherwise; with
-    ``fast`` non-X input raises instead of falling back to the oracle).
-    The critical time is attached for phase damping on X states.
+    Each step's transfer matrix Lambda, at the accumulated strength for
+    gamma(t) = exp(-rate * t), gives R(t) = Lambda R0 Lambda^T, and all
+    steps go through one call of the stacked core, which also checks
+    positivity: closed form for X rows, oracle otherwise (with ``fast``
+    non-X input raises instead of falling back to the oracle).  The
+    critical time is attached for phase damping on X states.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 time steps, got {steps!r}")
@@ -244,14 +239,13 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=Fa
     if np.any(np.diff(times) <= 0.0):
         raise ValueError(f"t_max = {t_max!r} over steps = {steps!r} gives repeated time points")
     gammas = np.exp(-rate * times)
-    method = "analytic" if fast else "auto"
-
-    states = []
-    reports = []
-    for t in times:
-        state = apply_named_channel(rho0, channel, _strength_at(channel, rate, t))
-        states.append(state)
-        reports.append(correlation_report(state, method=method, grid=grid))
+    # phase damping is parameterized by the surviving coherence fraction,
+    # the others by the accumulated decay probability
+    strengths = gammas if channel == "phase_damping" else 1.0 - gammas
+    lam = np.stack([_transfer(channel, strength) for strength in strengths])
+    _check_blocks(lam)
+    r = lam @ (pauli_expansion(rho0).entries @ lam.transpose(0, 2, 1))
+    reports = _assemble(r, *_core(r, "analytic" if fast else "auto", grid))
 
     t_bar = None
     params = extract_x_params(rho0)
@@ -260,7 +254,7 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=Fa
     return Trajectory(
         times=times,
         gammas=gammas,
-        states=tuple(states),
-        reports=tuple(reports),
+        reports=reports,
+        semi_axes=_factor_svd(r)[1],
         critical_time=t_bar,
     )

@@ -59,6 +59,7 @@ PAULI_PRODUCTS = np.array(
 ).reshape(4, 4, 4, 4)
 
 _SWAP_PERM = (0, 2, 1, 3)
+_OFF_X = ((0, 0, 1, 2, 1, 3, 2, 3), (1, 2, 0, 0, 3, 1, 3, 2))  # entries an X state lacks
 
 
 def binary_entropy(x):
@@ -222,8 +223,8 @@ class CorrelationMatrix:
         return float(np.linalg.det(self.entries))
 
 
-def make_x_state(params):
-    """Assemble the density matrix described by :class:`XStateParams`."""
+def _x_matrix(params):
+    """Unvalidated density matrix described by :class:`XStateParams`."""
     p = params
     m = np.zeros((4, 4), dtype=np.complex128)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p.a, p.b, p.c, p.d
@@ -231,7 +232,12 @@ def make_x_state(params):
     m[3, 0] = np.conj(m[0, 3])
     m[1, 2] = p.v * np.exp(1j * p.nu)
     m[2, 1] = np.conj(m[1, 2])
-    return TwoQubitState(m)
+    return m
+
+
+def make_x_state(params):
+    """Assemble the density matrix described by :class:`XStateParams`."""
+    return TwoQubitState(_x_matrix(params))
 
 
 def make_bell_diagonal(params):
@@ -329,8 +335,7 @@ def extract_x_params(state, tol=X_STRUCTURE_TOL):
     anti-diagonal has magnitude below ``tol``.
     """
     m = _as_matrix(state)
-    off = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2))
-    if max(abs(m[i, j]) for i, j in off) > tol:
+    if np.abs(m[_OFF_X]).max() > tol:
         return None
     m = m / m.trace().real
     diag = np.clip(np.diag(m).real, 0.0, None)

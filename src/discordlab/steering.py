@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discord import InternalInvariantError
 from .qstate import pauli_expansion
 
 __all__ = [
@@ -62,7 +63,7 @@ class SteeringEllipsoid:
         s = np.array(self.semi_axes, dtype=np.float64).reshape(3)
         r = np.array(self.rotation, dtype=np.float64).reshape(3, 3)
         if self.degeneracy not in DEGENERACY_CLASSES:
-            raise ValueError(f"unknown degeneracy class {self.degeneracy!r}")
+            raise InternalInvariantError(f"unknown degeneracy class {self.degeneracy!r}")
         for arr in (c, s, r):
             arr.flags.writeable = False
         object.__setattr__(self, "center", c)
@@ -80,13 +81,10 @@ def _orientation_angle(rotation):
     return 0.0
 
 
-def _canonical_axes(axes, dirs):
-    """Deterministic principal frame: identity-leaning, sign-fixed, right-handed."""
-    axes = np.asarray(axes, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64).copy()
-    order = np.argsort(-axes, kind="stable")
-    axes = axes[order]
-    dirs = dirs[:, order]
+def _canonical_frame(axes, dirs):
+    """Deterministic principal directions for descending ``axes``:
+    identity-leaning, sign-fixed, right-handed."""
+    dirs = np.array(dirs, dtype=np.float64)
     # within groups of (nearly) equal axes, re-span towards the identity
     i = 0
     while i < 3:
@@ -115,7 +113,7 @@ def _canonical_axes(axes, dirs):
             dirs[:, k] = -dirs[:, k]
     if np.linalg.det(dirs) < 0.0:
         dirs[:, 2] = -dirs[:, 2]
-    return axes, dirs
+    return dirs
 
 
 def x_frame_geometry(params):
@@ -139,30 +137,34 @@ def x_frame_geometry(params):
     return float(l1), float(l2), float(l3), float(y3), 0.5 * (p.mu + p.nu)
 
 
-def steering_ellipsoid(state):
-    """Steering ellipsoid of any two-qubit state.
+def _factor_svd(r):
+    """Centre, semi-axes and principal directions of each R in an (N, 4, 4) stack.
 
-    The semi-axes and principal directions are the singular values and
-    left singular vectors of M = (T - a b^T) S / sqrt(g), with
-    S = I + b b^T / (sqrt(g) (1 + sqrt(g))) the square root of
-    I + b b^T / g, so that M M^T = Q.  Singular values carry an absolute
-    error of about eps times the largest axis, so collapsed axes come out
-    near 1e-16, well under the 1e-9 floor; square roots of Q's eigenvalues
-    would leave them near 1e-8.  The error grows as eps / g as B's marginal
-    approaches a pure state.
+    The semi-axes (descending, those up to 1e-9 exactly 0) and directions
+    are the singular values and left singular vectors of M = (T - a b^T) S
+    / sqrt(g), with S = I + b b^T / (sqrt(g) (1 + sqrt(g))) the square root
+    of I + b b^T / g, so that M M^T = Q.  Singular values carry an absolute
+    error of about eps times the largest axis (eps / g as B's marginal
+    nears purity), where square roots of Q's eigenvalues would leave
+    collapsed axes near 1e-8.  A pure B marginal (g <= 1e-12) is a point.
     """
-    r = pauli_expansion(state).entries
-    a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
-    g = 1.0 - b @ b
-    if g <= _PURE_TOL:
-        center, axes, dirs = a, np.zeros(3), np.eye(3)
-    else:
-        root = np.sqrt(g)
-        center = (a - t @ b) / g
-        shear = np.eye(3) + np.outer(b, b) / (root * (1.0 + root))
-        dirs, axes, _ = np.linalg.svd((t - np.outer(a, b)) @ shear / root)
-    axes, dirs = _canonical_axes(axes, dirs)
-    axes[axes <= _FACTOR_TOL] = 0.0
+    a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+    g = 1.0 - np.sum(b * b, axis=-1)
+    pure = g <= _PURE_TOL
+    g = np.where(pure, 1.0, g)[:, np.newaxis]
+    root = np.sqrt(g)[..., np.newaxis]
+    center = np.where(pure[:, np.newaxis], a, (a - (t @ b[..., np.newaxis])[..., 0]) / g)
+    shear = np.eye(3) + b[:, :, np.newaxis] * b[:, np.newaxis] / (root * (1.0 + root))
+    m = (t - a[:, :, np.newaxis] * b[:, np.newaxis]) @ shear / root
+    dirs, axes, _ = np.linalg.svd(np.where(pure[:, np.newaxis, np.newaxis], 0.0, m))
+    return center, np.where(axes <= _FACTOR_TOL, 0.0, axes), dirs
+
+
+def steering_ellipsoid(state):
+    """Steering ellipsoid of any two-qubit state, from the SVD of the
+    Jevtic-Pusey-Jennings-Rudolph factor M (``_factor_svd``)."""
+    center, axes, dirs = (x[0] for x in _factor_svd(pauli_expansion(state).entries[np.newaxis]))
+    dirs = _canonical_frame(axes, dirs)
     return SteeringEllipsoid(
         center=center,
         semi_axes=axes,

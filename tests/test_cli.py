@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import ginibre_state
 
-from discordlab import __version__, cli, conjectures, discord, dynamics
+from discordlab import __version__, cli, conjectures, discord, dynamics, steering
 from discordlab.cli import (
     StateLoadError,
     dump_state,
@@ -352,6 +352,20 @@ def test_dynamics_csv(capsys):
     assert last[5] == "quasi_eigen"
 
 
+@pytest.mark.parametrize("spec", [X_SPEC, BD_SPEC, "matrix"], ids=["x", "bell-diagonal", "matrix"])
+def test_dynamics_axes_are_the_ellipsoid_semi_axes(capsys, rng, spec):
+    # l1 >= l2 >= l3 mean the same for every state: ellipsoid's semi-axes
+    if spec == "matrix":
+        spec = json.dumps(dump_state(ginibre_state(rng)))
+    argv = ["dynamics", "--state", spec, "--rate", "1", "--t-max", "1", "--steps", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    axes = np.array([float(value) for value in rows[1][6:9]])
+    expected = steering_ellipsoid(load_state(spec)).semi_axes
+    np.testing.assert_allclose(axes, expected, rtol=0.0, atol=1e-15)
+
+
 def test_dynamics_non_x_state_through_singular_r(capsys, rng):
     # full amplitude damping drives R singular on a state that is not X-shaped
     spec = json.dumps(dump_state(ginibre_state(rng)))
@@ -511,11 +525,29 @@ def test_exit_five_on_broken_ensemble_invariant(capsys, monkeypatch):
 
 def test_exit_five_on_unknown_branch(capsys, monkeypatch):
     # a branch label the library never makes is a fault, not a flag error
-    monkeypatch.setattr(discord, "x_state_min_entropy", lambda params: (0.5, "mystery"))
+    monkeypatch.setattr(
+        discord,
+        "_x_minimum",
+        lambda r: (np.full(len(r), 0.5), np.tile([0.0, 0.0, 1.0], (len(r), 1)), ["mystery"]),
+    )
     code, out, err = run(capsys, ["compute", "--state", X_SPEC])
     assert code == 5
     assert out == ""
     assert err.startswith("internal error: ") and "unknown branch" in err
+
+
+def test_exit_five_on_unknown_degeneracy(capsys, monkeypatch):
+    # a degeneracy class the library never makes is a fault, not a flag error
+    ellipsoid = steering.SteeringEllipsoid
+    monkeypatch.setattr(
+        steering,
+        "SteeringEllipsoid",
+        lambda **fields: ellipsoid(**{**fields, "degeneracy": "mystery"}),
+    )
+    code, out, err = run(capsys, ["ellipsoid", "--state", X_SPEC])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: ") and "unknown degeneracy" in err
 
 
 def test_exit_five_on_channel_map_breaking_x_shape(capsys, monkeypatch):

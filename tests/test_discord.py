@@ -12,11 +12,14 @@ from discordlab.discord import (
     BRANCH_EQUI_ENTROPY,
     BRANCH_NUMERIC,
     BRANCH_QUASI_EIGEN,
+    TIE_TOL,
     CorrelationReport,
     EnsembleMember,
     InternalInvariantError,
     ProjectiveMeasurement,
     UnsupportedStructureError,
+    _x_candidates,
+    _x_minimum,
     avg_entropy,
     bell_diagonal_min_entropy,
     brute_force_min_entropy,
@@ -139,6 +142,42 @@ def test_x_closed_form_on_degenerate_states(rng):
         value, _ = x_state_min_entropy(params)
         oracle, _ = brute_force_min_entropy(pauli_expansion(make_x_state(params)))
         assert value == pytest.approx(oracle, abs=1e-9)
+
+
+def _parameter_closed_forms(p):
+    """S_GH, S_EF and the equi-entropy direction written out in the X parameters."""
+    s_gh = 0.0
+    for weight, split in ((p.a + p.c, p.a - p.c), (p.b + p.d, p.b - p.d)):
+        if weight > 1e-14:
+            s_gh += weight * binary_entropy(abs(split) / weight)
+    reach, r3 = 2.0 * (p.u + p.v), p.a + p.b - p.c - p.d
+    s_ef = binary_entropy(np.sqrt(reach * reach + r3 * r3))
+    theta = 0.5 * (np.pi + p.mu - p.nu)
+    return s_gh, s_ef, np.array([np.sin(theta), np.cos(theta), 0.0])
+
+
+def test_x_closed_forms_on_r_match_parameter_formulas():
+    # seed 424242's X states, the singular-R states of
+    # test_x_closed_form_on_degenerate_states and the maximally mixed tie
+    rng = np.random.default_rng(424242)
+    cases = [random_x_params(rng) for _ in range(2000)] + [
+        XStateParams(a=4 / 9, b=2 / 9, c=2 / 9, d=1 / 9, u=0.15, v=0.05),
+        WORKED,
+        XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.1, v=0.1),
+        XStateParams(a=0.25, b=0.25, c=0.25, d=0.25, u=0.0, v=0.0),
+    ]
+    r = np.array([pauli_expansion(make_x_state(p)).entries for p in cases])
+    s_gh, s_ef, n_equi = _x_candidates(r)
+    _, _, branches = _x_minimum(r)
+    for k, params in enumerate(cases):
+        want_gh, want_ef, want_n = _parameter_closed_forms(params)
+        assert abs(s_gh[k] - want_gh) <= 1e-14, k
+        assert abs(s_ef[k] - want_ef) <= 1e-14, k
+        assert branches[k] == (
+            BRANCH_QUASI_EIGEN if want_gh - want_ef <= TIE_TOL else BRANCH_EQUI_ENTROPY
+        )
+        flip = min(np.abs(n_equi[k] - want_n).max(), np.abs(n_equi[k] + want_n).max())
+        assert flip <= 1e-12, k
 
 
 def test_bell_diagonal_min_entropy_matches_oracle(rng):

@@ -6,6 +6,7 @@ from discordlab.discord import (
     BRANCH_EQUI_ENTROPY,
     BRANCH_QUASI_EIGEN,
     UnsupportedStructureError,
+    correlation_report,
 )
 from discordlab.dynamics import (
     PhaseDampingChannel,
@@ -17,6 +18,7 @@ from discordlab.dynamics import (
 )
 from discordlab.qstate import (
     BellDiagonalParams,
+    TwoQubitState,
     XStateParams,
     extract_x_params,
     make_bell_diagonal,
@@ -202,7 +204,49 @@ def test_trajectory_requires_increasing_times():
         Trajectory(
             times=np.array([0.0, 0.0]),
             gammas=np.array([1.0, 1.0]),
-            states=(None, None),
             reports=(None, None),
+            semi_axes=np.zeros((2, 3)),
             critical_time=None,
         )
+
+
+STACKED_CASES = {
+    "x": lambda: make_x_state(random_x_params(np.random.default_rng(5))),
+    "bell-diagonal": lambda: make_bell_diagonal(BENCHMARK),
+    "ginibre": lambda: ginibre_state(np.random.default_rng(6)),
+}
+
+
+@pytest.mark.parametrize("channel", ["phase_damping", "amplitude_damping", "pauli(0.5,0.3,0.2)"])
+@pytest.mark.parametrize("kind", list(STACKED_CASES))
+def test_stacked_trajectory_matches_per_step_reports(kind, channel):
+    # the per-step route, one validated state and one report per step, is
+    # the reference for the one-stack trajectory
+    rho0 = STACKED_CASES[kind]()
+    rate, grid = 1.3, (31, 60)
+    trajectory = evolve_trajectory(rho0, rate=rate, t_max=2.0, steps=21, channel=channel,
+                                   grid=grid)
+    for t, report in zip(trajectory.times, trajectory.reports):
+        decay = np.exp(-rate * t)
+        strength = decay if channel == "phase_damping" else 1.0 - decay
+        step = correlation_report(apply_named_channel(rho0, channel, strength), grid=grid)
+        assert report.branch == step.branch
+        for field in ("mutual_info", "classical", "discord"):
+            assert abs(getattr(report, field) - getattr(step, field)) <= 1e-12, (t, field)
+    params = extract_x_params(rho0)
+    expected = None
+    if channel == "phase_damping" and params is not None:
+        expected = critical_time(params, rate)
+    assert trajectory.critical_time == expected
+
+
+def test_trajectory_validates_no_state_per_step(monkeypatch):
+    rho0 = make_x_state(random_x_params(np.random.default_rng(5)))
+    calls = []
+    validate = TwoQubitState.__post_init__
+    monkeypatch.setattr(
+        TwoQubitState, "__post_init__", lambda state: calls.append(state) or validate(state)
+    )
+    trajectory = evolve_trajectory(rho0, rate=1.0, t_max=2.0, steps=21)
+    assert len(trajectory.reports) == 21
+    assert calls == []

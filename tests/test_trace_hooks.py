@@ -4,8 +4,8 @@
 wrappers.  A renamed or bypassed function would leave its span empty and
 only show up as missing per-layer metrics, so this test runs a traced
 ``compute``, ``conjecture mixture`` and ``dynamics`` and checks that the
-kernel spans were recorded, and that trajectories of X states still take
-their axes from the X closed form.
+kernel spans were recorded, and that the trajectory and its critical
+time were.
 """
 
 import json
@@ -56,7 +56,7 @@ def test_benchmark_spans_reach_the_kernels():
         "kernels.grid_eval",
         "kernels.refine",
         "kernels.circle_scan",
-        "steering.geometry",
-        "dynamics.channel",
+        "dynamics.trajectory",
+        "dynamics.critical_time",
     }
     assert expected <= set(result["spans"])
