@@ -95,7 +95,8 @@ def _entropy_of_norms(x):
     """Binary entropy h(x) in bits of each Bloch-vector norm x in [0, 1]."""
     hp = 0.5 * (1.0 + x)
     hq = 1.0 - hp
-    return -hp * np.log2(hp) - hq * np.log2(np.where(hq > 0.0, hq, 1.0))
+    # 0.0 - ...: a pure state's h(1) is +0.0, where -hp * log2(hp) gives -0.0
+    return 0.0 - hp * np.log2(hp) - hq * np.log2(np.where(hq > 0.0, hq, 1.0))
 
 
 def _project(r, terms):

@@ -337,7 +337,6 @@ def _cmd_dynamics(args):
         t_max=args.t_max,
         steps=args.steps,
         channel=args.channel,
-        fast=args.fast,
         grid=args.grid,
     )
     t_bar = trajectory.critical_time
@@ -535,9 +534,6 @@ def _build_parser():
     dynamics.add_argument("--steps", type=int, required=True)
     dynamics.add_argument("--channel", default="phase_damping")
     dynamics.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID)
-    dynamics.add_argument(
-        "--fast", action="store_true", help="analytic path only (X states)"
-    )
     dynamics.add_argument("--out", default=None)
 
     conjecture = sub.add_parser(name="conjecture", help="Monte-Carlo conjecture scans")

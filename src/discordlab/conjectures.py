@@ -19,7 +19,6 @@ Monte-Carlo drivers sample both families reproducibly (one RNG stream
 spawned per sample index, so parallel runs give identical output).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,14 +32,15 @@ from ._kernels import (
     _entropy_of_norms,
     _outcomes,
     _refine_python,
-    min_entropy_circle_scan,
 )
 from .discord import (
     BRANCH_EQUI_ENTROPY,
+    CIRCLE_TOL,
     DEFAULT_GRID,
     ProjectiveMeasurement,
     _assemble,
-    _entropies,
+    _core,
+    _parallel_map,  # also the CLI's worker map over general-R samples
     brute_force_min_entropy,
     post_measurement_ensemble,
 )
@@ -85,11 +85,6 @@ CHORD_TOL = 1e-6  # relative y3 component below this counts as horizontal
 _TURNS = np.arange(4) * (np.pi / 4)  # turns of Bob's x-z axes tried by the maximiser
 _MAX_TRIES = 100000  # rejection draws allowed per general-R sample
 _DRAW_BLOCK = 128  # general-R draws checked for positivity by one stacked eigvalsh
-# samples per stacked circle-oracle call in the gap survey.  A chunk's scan
-# temporaries, (2, 16, 360) doubles each, keep a 1k-sample call's peak RSS
-# at the one-state loop's; 24 states add ~0.6 MB, 32 ~1.4 MB and 128 ~6 MB,
-# for 10-20% less CPU per sample at 24 or 32
-_SURVEY_CHUNK = 16
 
 
 class ConjectureViolationError(RuntimeError):
@@ -185,22 +180,6 @@ class ClassifiedState:
     optimal_measurement: ProjectiveMeasurement
 
 
-def _mixture_matrix(lam, alpha, beta):
-    """Unvalidated density matrix of mixture states: (4, 4) for scalar
-    parameters, (N, 4, 4) for arrays of N, entry by entry the arithmetic of
-    ``np.kron`` and ``np.outer`` on one state."""
-    psi = np.stack((np.cos(alpha), np.sin(alpha)), axis=-1)
-    phi = np.stack((np.cos(beta), np.sin(beta)), axis=-1)
-    shape = np.shape(lam)
-    pure = (psi[..., :, np.newaxis] * phi[..., np.newaxis, :]).reshape(shape + (4,))
-    pure = pure.astype(np.complex128)
-    m = np.zeros(shape + (4, 4), dtype=np.complex128)
-    m[..., 0, 0] = lam
-    w = np.reshape(1.0 - lam, shape + (1, 1))
-    m += w * (pure[..., :, np.newaxis] * pure.conj()[..., np.newaxis, :])
-    return m
-
-
 def _mixture_r(lam, alpha, beta):
     """Closed-form Pauli coefficient matrix R of mixture states.
 
@@ -209,7 +188,8 @@ def _mixture_r(lam, alpha, beta):
     v = (1, sin 2b, 0, cos 2b), the product of the two pure states' Bloch
     4-vectors, written out entry by entry.  Row and column 2 are exactly
     zero.  The family's measurement algebra is ``_kernels._outcomes`` (or
-    ``post_measurement_ensemble``) on this R.
+    ``post_measurement_ensemble``) on this R, and its states are this R
+    reconstructed (``make_mixture_state``).
     """
     w = 1.0 - lam
     sa, ca = np.sin(2 * alpha), np.cos(2 * alpha)
@@ -224,8 +204,8 @@ def _mixture_r(lam, alpha, beta):
 
 
 def make_mixture_state(p):
-    """rho = lam |00><00| + (1 - lam) |psi phi><psi phi|."""
-    return TwoQubitState(_mixture_matrix(p.lam, p.alpha, p.beta))
+    """rho = lam |00><00| + (1 - lam) |psi phi><psi phi|, rebuilt from its R."""
+    return reconstruct_state(_mixture_r(p.lam, p.alpha, p.beta))
 
 
 def mixture_bloch_a(p):
@@ -261,68 +241,6 @@ def sample_mixture_params(count, seed):
     return out
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _circle_oracle(r, n_polar, refine_tol=1e-6):
-    """Exact ``(value, direction)`` minimum for a mixture-family R.
-
-    ``r`` is one 4x4 coefficient matrix or an (N, 4, 4) stack; a stack
-    gives arrays of N values and (N, 3) directions (sin xi, 0, cos xi).
-    Column 2 of a mixture state's R (Bob's y axis) vanishes, so p_pm and
-    T n do not depend on n2.  A direction with n2 != 0 therefore yields
-    the same ensemble as an unsharp measurement along (n1, 0, n3)/|.|,
-    which by concavity of h cannot beat the sharp one: the unconstrained
-    minimum over the sphere lies on the x-z great circle, whatever the
-    equi-entropy conjecture says.  The circle scan visits the grid's nodes
-    on that circle, so only ``n_polar`` sets its resolution.  Raises
-    RuntimeError if the column is not zero within 1e-12 in every matrix.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    y_column = np.abs(r[..., 2]).max()
-    if y_column > 1e-12:
-        raise RuntimeError(
-            f"mixture state has |R[:, 2]| = {y_column:.3g}; the x-z circle "
-            "oracle does not apply"
-        )
-    value, xi = min_entropy_circle_scan(r, n_polar, refine_tol)
-    # n and -n give the same value bitwise: flip to n3 >= 0, as on the
-    # hemisphere grid, keeping n2 at +0.0
-    cos = np.cos(xi)
-    sign = np.where(cos < 0.0, -1.0, 1.0)
-    n1, n3 = sign * np.sin(xi), sign * cos
-    return value, np.stack((n1, np.zeros_like(n1), n3), axis=-1)
-
-
-def _survey_chunk(drawn, n_polar, refine_tol):
-    """Circle-oracle optima and equi-entropy gaps of mixture samples, as GapSamples.
-
-    R comes in closed form from the stacked parameters (``_mixture_r``), and
-    the ensemble at each optimum from the oracle's own outcome map
-    (``_kernels._outcomes``) on that R: no state is built or validated.  An
-    outcome with p <= P_FLOOR has no Bloch vector, so its sample's gap is 0
-    (the ensemble is one point); a norm that round-off puts above 1 counts
-    as 1, as in the oracle.
-    """
-    r = _mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
-    values, ns = _circle_oracle(r, n_polar, refine_tol)
-    prob, norm = _outcomes(r, ((1, ns[:, :1]), (3, ns[:, 2:])))
-    gaps = np.where((prob > P_FLOOR).all(axis=0), np.abs(norm[0] - norm[1]), 0.0)[:, 0]
-    return [
-        GapSample(
-            params=p,
-            optimal_measurement=ProjectiveMeasurement(n),
-            gap=float(gap),
-            min_entropy=float(value),
-        )
-        for p, n, gap, value in zip(drawn, ns, gaps, values)
-    ]
-
-
 def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, refine_tol=1e-9):
     """Monte-Carlo scan of the |OE| = |OF| conjecture over the mixture family.
 
@@ -333,30 +251,36 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     because the gap is first-order in the measurement angle while the
     entropy value is only second-order.
 
-    The oracle is the exact one-dimensional scan of the x-z great circle
-    (``min_entropy_circle_scan``): the family's R ignores the measured
-    qubit's y axis, so by concavity of h no direction off that circle does
-    better (see ``_circle_oracle``).  It is independent of the equi-entropy
+    The oracle is the correlation core's, on the whole stack of samples
+    (``_mixture_stack``): the family's R ignores the measured qubit's y
+    axis, so its exact minimum lies on the x-z great circle (see
+    ``discord._circle_minimum``).  It is independent of the equi-entropy
     constraint under test.  ``grid`` is read for its polar count only: the
-    scan visits the 2 (polar - 1) grid nodes that lie on the circle.
-
-    Samples go to the oracle in chunks of ``_SURVEY_CHUNK``, each one
-    stacked call, mapped over ``threads`` workers.  R comes in closed form
-    from the parameters, and the gap from the oracle's outcome map at the
-    optimum (``_survey_chunk``).
-    The stacked scan sums each state's values element by element, so a
-    sample's row is bitwise the same whatever the chunking or the thread
-    count.
+    scan visits the 2 (polar - 1) grid nodes that lie on the circle.  The
+    gap comes from the oracle's outcome map (``_kernels._outcomes``) at the
+    optimum: an outcome with p <= P_FLOOR has no Bloch vector, so its
+    sample's gap is 0 (the ensemble is one point).  No state is built, and
+    a sample's row is bitwise the same whatever the thread count.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples!r}")
     drawn = sample_mixture_params(samples, seed)
-    chunks = [drawn[i : i + _SURVEY_CHUNK] for i in range(0, samples, _SURVEY_CHUNK)]
-    done = _parallel_map(lambda chunk: _survey_chunk(chunk, grid[0], refine_tol), chunks, threads)
-    results = [sample for chunk in done for sample in chunk]
-    gaps = np.array([s.gap for s in results])
+    params = np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T
+    stack = _mixture_stack(*params, grid, threads, refine_tol)
+    ns = stack.oracle_n
+    prob, norm = _outcomes(stack.r, ((1, ns[:, :1]), (3, ns[:, 2:])))
+    gaps = np.where((prob > P_FLOOR).all(axis=0), np.abs(norm[0] - norm[1]), 0.0)[:, 0]
+    results = tuple(
+        GapSample(
+            params=p,
+            optimal_measurement=ProjectiveMeasurement(n),
+            gap=gap,
+            min_entropy=value,
+        )
+        for p, n, gap, value in zip(drawn, ns, gaps.tolist(), stack.oracle_value.tolist())
+    )
     return ConjectureRun(
-        samples=tuple(results),
+        samples=results,
         max_gap=float(gaps.max()),
         fraction_tiny=float(np.mean(gaps <= GAP_TOL)),
     )
@@ -432,7 +356,7 @@ def _constrained_optimum(r):
 
 class _MixtureStack(NamedTuple):
     """Mixture states as arrays, one entry per state: parameters, closed-form
-    R, the circle oracle's minimum and direction, I and S(rho_A)."""
+    R, the core's exact minimum and direction, I and S(rho_A)."""
 
     lam: np.ndarray
     alpha: np.ndarray
@@ -444,27 +368,25 @@ class _MixtureStack(NamedTuple):
     s_a: np.ndarray
 
 
-def _mixture_stack(lam, alpha, beta, n_polar, threads=1):
+def _mixture_stack(lam, alpha, beta, grid, threads=1, refine_tol=1e-6):
     """One stacked pass over the mixture states of the parameter arrays.
 
-    R comes in closed form (``_mixture_r``) and goes to the exact circle
-    oracle in chunks of ``_SURVEY_CHUNK``, mapped over ``threads``
-    workers; I and S(rho_A) come from the correlation core's
-    ``discord._entropies`` on R.  No state is built, and every entry is
-    bitwise the same whatever the chunking or threads.
+    R comes in closed form (``_mixture_r``) and goes to the correlation
+    core in one call, which gives I, S(rho_A) and the exact minimum: X rows
+    by their closed forms, the others by the x-z circle in chunks over
+    ``threads`` workers.  No state is built, and every entry is bitwise the
+    same whatever the threads.  Raises RuntimeError if column 2 of some R
+    is not zero within 1e-12: the family's constrained maximiser measures
+    on the x-z circle only.
     """
     r = _mixture_r(lam, alpha, beta)
-    chunks = [r[i : i + _SURVEY_CHUNK] for i in range(0, len(r), _SURVEY_CHUNK)]
-    done = _parallel_map(lambda chunk: _circle_oracle(chunk, n_polar), chunks, threads)
-    return _MixtureStack(
-        lam,
-        alpha,
-        beta,
-        r,
-        np.concatenate([value for value, _ in done]),
-        np.concatenate([n for _, n in done]),
-        *_entropies(r, _density_matrix(r)),
-    )
+    y_column = np.abs(r[..., 2]).max()
+    if y_column > CIRCLE_TOL:
+        raise RuntimeError(
+            f"mixture state has |R[:, 2]| = {y_column:.3g}; the x-z circle does not apply"
+        )
+    info, s_a, values, ns, _ = _core(r, "auto", grid, threads, refine_tol)
+    return _MixtureStack(lam, alpha, beta, r, values, ns, info, s_a)
 
 
 def _conjecture_reports(stack):
@@ -503,15 +425,15 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
 
     Maximizes |y+| under |y+| = |y-|, in closed form: the equi-norm
     measurements are the real roots of a cubic (``_constrained_optimum``),
-    and C = S(rho^A) - h(|y+|*).  The exact circle oracle (``_circle_oracle``),
-    which does not assume the conjecture, runs alongside as a guard:
+    and C = S(rho^A) - h(|y+|*).  The correlation core's exact minimum,
+    which does not assume the conjecture, is computed alongside as a guard:
     disagreement beyond 1e-4 bits raises :class:`ConjectureViolationError`
     with the counterexample attached.  ``grid`` is read for its polar
     count only.  This is the one-state call of the sweep's stacked pass
     (``_mixture_stack`` and ``_conjecture_reports``).
     """
     params = (np.array([v], dtype=np.float64) for v in (p.lam, p.alpha, p.beta))
-    return _conjecture_reports(_mixture_stack(*params, grid[0]))[0]
+    return _conjecture_reports(_mixture_stack(*params, grid))[0]
 
 
 def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
@@ -522,15 +444,15 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     runs over the full [0, pi] so reflection symmetry about beta = pi/2
     is visible in the surface.  Cells with beta <= pi/2 go through the
     constrained maximiser, the closed-form roots of a cubic
-    (``_constrained_optimum``); the mirror half uses the exact circle oracle
-    directly, which does not assume the conjecture, so the two halves
-    agreeing is a cross-check, not a construction.  ``oracle_grid`` is
-    read for its polar count only.
+    (``_constrained_optimum``); the mirror half uses the correlation core's
+    exact minimum directly, which does not assume the conjecture, so the
+    two halves agreeing is a cross-check, not a construction.
+    ``oracle_grid`` is read for its polar count only.
 
-    All cells make one stacked pass (``_mixture_stack``): closed-form R,
-    the circle oracle in chunks over ``threads`` workers, which gives the
-    mirror cells' minimum and the guard of the others, and I and S(rho_A)
-    from the correlation core.  The constrained cells then go to
+    All cells make one stacked pass (``_mixture_stack``): closed-form R and
+    one correlation-core call, whose circle chunks go over ``threads``
+    workers; it gives I, S(rho_A), the mirror cells' minimum and the guard
+    of the others.  The constrained cells then go to
     ``_conjecture_reports`` as one stack, whose maximiser is one stacked
     ``eigvals`` call with no per-cell loop.  Rows do not depend on
     ``threads``.  Raises ValueError if ``lam`` lies outside [0, 1] or
@@ -552,7 +474,7 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
         np.full(alpha.shape, lam, dtype=np.float64),
         alpha,
         np.where(constrained, np.minimum(beta, np.pi / 2), beta),
-        oracle_grid[0],
+        oracle_grid,
         threads,
     )
     reports = _conjecture_reports(_MixtureStack(*(field[constrained] for field in stack)))

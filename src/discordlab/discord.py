@@ -11,18 +11,23 @@ Bloch vector, r_A Alice's and T the 3x3 correlation block of R.  The
 classical correlation is C = S(rho^A) - min over n of the average entropy
 sum_k p_k h(|y_k|), and the discord is Q = I - C.
 
-Every report comes from one stacked core on R (``_core``, ``_assemble``).
-For X-shaped states the minimum is one of two closed-form candidates:
+Every report comes from one stacked core on R (``_core``, ``_assemble``),
+the only place that picks how a state's minimum is found.  For X-shaped
+states the minimum is one of two closed-form candidates:
 
 * quasi-eigendecomposition, n along z, value
   S_GH = (a+c) h(|a-c|/(a+c)) + (b+d) h(|b-d|/(b+d));
 * equi-entropy decomposition, n in the x-y plane at azimuth set by the
   coherence phases, value S_EF = h(sqrt(4(u+v)^2 + r3^2)).
 
-Everything else goes through a hemisphere grid search with coordinate
-descent refinement (the oracle in ``brute_force_min_entropy``).
+Any other state whose R ignores Bob's y axis (column 2 vanishes, as for
+the mixture family and product states) has its exact minimum on the x-z
+great circle, a one-dimensional scan (``_circle_minimum``).  Everything
+else goes through a hemisphere grid search with coordinate descent
+refinement (the oracle in ``brute_force_min_entropy``).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,7 @@ from ._kernels import (
     _directions,
     _entropy_of_norms,
     _project,
+    min_entropy_circle_scan,
     min_entropy_scan,
 )
 from .qstate import (
@@ -65,6 +71,12 @@ __all__ = [
 
 DEFAULT_GRID = (181, 360)  # (polar, azimuth) nodes over the hemisphere
 TIE_TOL = 1e-12  # |S_GH - S_EF| ties are reported as quasi_eigen
+CIRCLE_TOL = 1e-12  # max |R[:, 2]| at or below this: Bob's y axis does not enter
+# rows per stacked circle-scan call.  A chunk's scan temporaries, (2, 16, 360)
+# doubles each, keep a 1k-sample survey's peak RSS at the one-state loop's;
+# 24 states add ~0.6 MB, 32 ~1.4 MB and 128 ~6 MB, for 10-20% less CPU per
+# state at 24 or 32
+_CIRCLE_CHUNK = 16
 
 BRANCH_QUASI_EIGEN = "quasi_eigen"
 BRANCH_EQUI_ENTROPY = "equi_entropy"
@@ -223,8 +235,7 @@ def _x_candidates(r):
     n = np.stack((np.sin(theta), np.cos(theta), np.zeros_like(theta)), axis=-1)
     s_gh = _avg_entropy(r, ((3, np.ones(1)),))[:, 0]
     s_ef = _avg_entropy(r, ((1, n[:, :1]), (2, n[:, 1:2])))[:, 0]
-    # an ensemble of pure states sums -0.0 entropies: report +0.0
-    return s_gh + 0.0, s_ef + 0.0, n
+    return s_gh, s_ef, n
 
 
 def _x_minimum(r):
@@ -287,28 +298,77 @@ def _entropies(r, rho):
     return s_a + s_b - von_neumann_entropy(rho), s_a
 
 
-def _core(r, method="auto", grid=DEFAULT_GRID):
+def _parallel_map(fn, items, threads):
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _circle_minimum(r, n_polar, refine_tol=1e-6, threads=1):
+    """Exact ``(values, directions)`` minima of an (N, 4, 4) stack of R whose
+    column 2 vanishes; directions (sin xi, 0, cos xi), (N, 3).
+
+    When Bob's y axis does not enter R, p_pm and T n do not depend on n2.
+    A direction with n2 != 0 therefore yields the same ensemble as an
+    unsharp measurement along (n1, 0, n3)/|.|, which by concavity of h
+    cannot beat the sharp one: the minimum over the sphere lies on the x-z
+    great circle.  ``min_entropy_circle_scan`` visits the hemisphere grid's
+    nodes on that circle, so only ``n_polar`` sets its resolution.  Rows go
+    to it in chunks of ``_CIRCLE_CHUNK``, mapped over ``threads`` workers;
+    the scan sums each row's values element by element, so a row's result
+    is bitwise the same whatever the chunking or the thread count.  The
+    caller checks the column.
+    """
+    chunks = [r[i : i + _CIRCLE_CHUNK] for i in range(0, len(r), _CIRCLE_CHUNK)]
+    done = _parallel_map(
+        lambda chunk: min_entropy_circle_scan(chunk, n_polar, refine_tol), chunks, threads
+    )
+    value = np.concatenate([v for v, _ in done])
+    xi = np.concatenate([x for _, x in done])
+    # n and -n give the same value bitwise: flip to n3 >= 0, as on the
+    # hemisphere grid, keeping n2 at +0.0
+    cos = np.cos(xi)
+    sign = np.where(cos < 0.0, -1.0, 1.0)
+    n1, n3 = sign * np.sin(xi), sign * cos
+    return value, np.stack((n1, np.zeros_like(n1), n3), axis=-1)
+
+
+def _core(r, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
     """``(info, s_a, values, directions, branches)`` of an (N, 4, 4) stack of R.
 
-    Rows are routed here only: X rows (the test of ``extract_x_params``)
-    to the closed forms unless ``method`` is numeric, the others one by one
-    to the oracle, or to UnsupportedStructureError if ``method`` is
-    analytic.  A row's results do not depend on the rest of the stack.
+    Rows are routed here only, three ways:
+
+    * X rows (the test of ``extract_x_params``) to the closed forms;
+    * other rows whose column 2 vanishes within ``CIRCLE_TOL`` to the
+      exact x-z circle (``_circle_minimum``, chunks over ``threads``);
+    * the rest one by one to the 2-D oracle on ``grid``.
+
+    ``method`` numeric sends every row to the 2-D oracle, and analytic
+    raises UnsupportedStructureError unless every row is X.  Both oracles
+    refine to ``refine_tol`` radians and label their rows numeric.  A row's
+    results do not depend on the rest of the stack or on ``threads``.
     """
     rho = _density_matrix(r)
     info, s_a = _entropies(r, rho)
     off_x = np.abs(rho[:, _OFF_X[0], _OFF_X[1]]).max(axis=1)
-    x = (off_x <= X_STRUCTURE_TOL) & (method != "numeric")
+    exact = method != "numeric"
+    x = exact & (off_x <= X_STRUCTURE_TOL)
     if method == "analytic" and not x.all():
         raise UnsupportedStructureError(
             "analytic closed form requires an X-shaped density matrix"
         )
+    circle = exact & ~x & (np.abs(r[:, :, 2]).max(axis=1) <= CIRCLE_TOL)
     values, directions = np.empty(len(r)), np.empty((len(r), 3))
     branches = np.full(len(r), BRANCH_NUMERIC, dtype=object)
     if x.any():
         values[x], directions[x], branches[x] = _x_minimum(r[x])
-    for k in np.flatnonzero(~x):
-        values[k], measurement = brute_force_min_entropy(r[k], grid=grid)
+    if circle.any():
+        values[circle], directions[circle] = _circle_minimum(
+            r[circle], grid[0], refine_tol, threads
+        )
+    for k in np.flatnonzero(~(x | circle)):
+        values[k], measurement = brute_force_min_entropy(r[k], grid, refine_tol)
         directions[k] = measurement.direction
     return info, s_a, values, directions, branches
 
@@ -336,10 +396,12 @@ def correlation_report(rho, direction="b_to_a", method="auto", grid=DEFAULT_GRID
 
     ``direction`` b-to-a measures B to learn about A (C_left);  a-to-b
     swaps the roles.  ``method`` auto uses the X closed form when the
-    eight non-X entries vanish within 1e-12 and the oracle otherwise;
-    analytic insists on the closed form and raises
+    eight non-X entries vanish within 1e-12, the exact x-z circle scan
+    when R ignores the measured qubit's y axis, and the grid oracle
+    otherwise; analytic insists on the closed form and raises
     :class:`UnsupportedStructureError` for non-X states; numeric always
-    runs the oracle on the given grid.  It is the stacked core's one-row call.
+    runs the grid oracle on the given grid.  It is the stacked core's
+    one-row call.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"method must be auto, analytic or numeric, got {method!r}")

@@ -114,7 +114,9 @@ def _transfer(name, strength):
     Lambda (1, r); row 0 is (1, 0, 0, 0), so the trace is kept.
     """
     if name == "phase_damping":
-        g = PhaseDampingChannel(gamma=float(strength)).gamma
+        g = float(strength)
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {g!r}")
         return np.diag([1.0, g, g, 1.0])
     if name == "amplitude_damping":
         p = float(strength)
@@ -218,16 +220,14 @@ def critical_time(params, rate):
     return 0.5 * (t_lo + t_hi)
 
 
-def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=False,
-                      grid=DEFAULT_GRID):
+def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", grid=DEFAULT_GRID):
     """Correlation trajectory of ``rho0`` under a named two-sided channel.
 
     Each step's transfer matrix Lambda, at the accumulated strength for
     gamma(t) = exp(-rate * t), gives R(t) = Lambda R0 Lambda^T, and all
     steps go through one call of the stacked core, which also checks
-    positivity: closed form for X rows, oracle otherwise (with ``fast``
-    non-X input raises instead of falling back to the oracle).  The
-    critical time is attached for phase damping on X states.
+    positivity and routes each row as for any stack of R.  The critical
+    time is attached for phase damping on X states.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 time steps, got {steps!r}")
@@ -245,7 +245,7 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", fast=Fa
     lam = np.stack([_transfer(channel, strength) for strength in strengths])
     _check_blocks(lam)
     r = lam @ (pauli_expansion(rho0).entries @ lam.transpose(0, 2, 1))
-    reports = _assemble(r, *_core(r, "analytic" if fast else "auto", grid))
+    reports = _assemble(r, *_core(r, "auto", grid))
 
     t_bar = None
     params = extract_x_params(rho0)

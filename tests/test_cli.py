@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from discordlab.steering import steering_ellipsoid
 X_SPEC = '{"xstate": {"a": 0.4, "b": 0.1, "c": 0.2, "d": 0.3, "u": 0.1, "v": 0.1}}'
 BD_SPEC = '{"bell_diagonal": [0.8, -0.1, 0.2]}'
 MIX_SPEC = '{"mixture": {"lambda": 0.3, "alpha": 0.7, "beta": 1.1}}'
+PURE_X_SPEC = '{"xstate": {"a": 1, "b": 0, "c": 0, "d": 0, "u": 0, "v": 0}}'
 
 
 def run(capsys, argv):
@@ -271,6 +273,23 @@ def test_compute_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["branch"] == "quasi_eigen"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--state", PURE_X_SPEC, "--rate", "1", "--t-max", "1", "--steps", "3"],
+        ["compute", "--state", PURE_X_SPEC],
+        ["compute", "--state", '{"mixture": {"lambda": 0.3, "alpha": 0, "beta": 1.1}}'],
+        ["sweep", "mixture", "--lambda", "0.3", "--grid-points", "5"],
+    ],
+    ids=["dynamics", "compute_x", "compute_mixture", "sweep"],
+)
+def test_outputs_print_no_negative_zero(capsys, argv):
+    # h(1) of a pure state is +0.0, so exact zeros print unsigned
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert re.findall(r"(?<![\w.])-0\.0(?!\d)", out) == []
+
+
 # ---- ellipsoid -----------------------------------------------------------
 
 
@@ -376,15 +395,6 @@ def test_dynamics_non_x_state_through_singular_r(capsys, rng):
     rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
     assert rows[0] == ["t", "gamma", "I", "C", "Q", "branch", "l1", "l2", "l3"]
     assert len(rows) == 1 + 3
-
-
-def test_dynamics_fast_rejects_non_x(capsys):
-    code, _, err = run(
-        capsys,
-        ["dynamics", "--state", MIX_SPEC, "--rate", "1", "--t-max", "1", "--steps", "3", "--fast"],
-    )
-    assert code == 3
-    assert "X-shaped" in err
 
 
 @pytest.mark.parametrize(

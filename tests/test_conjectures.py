@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import ginibre_state, random_direction
 
-from discordlab import _kernels, conjectures
+from discordlab import _kernels, conjectures, discord
 from discordlab.conjectures import (
     ConjectureViolationError,
     GeneralRParams,
@@ -150,7 +152,7 @@ def test_survey_chunking_does_not_change_results(monkeypatch):
     # samples go to the stacked circle oracle in chunks; a row's bits do not
     # depend on which chunk it lands in
     default = conjectures.test_equi_entropy_conjecture(samples=100, seed=5)
-    monkeypatch.setattr(conjectures, "_SURVEY_CHUNK", 7)
+    monkeypatch.setattr(discord, "_CIRCLE_CHUNK", 7)
     rechunked = conjectures.test_equi_entropy_conjecture(samples=100, seed=5)
     for a, b in zip(default.samples, rechunked.samples):
         assert a.gap == b.gap
@@ -190,7 +192,7 @@ def test_circle_oracle_direction_gives_its_value():
     # bitwise (no angle is folded after the descent)
     drawn = sample_mixture_params(200, 5)
     r = conjectures._mixture_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
-    values, ns = conjectures._circle_oracle(r, 181, 1e-9)
+    values, ns = discord._circle_minimum(r, 181, 1e-9)
     assert (ns[:, 2] >= 0.0).all() and not np.signbit(ns[:, 1]).any()
     direct = [_kernels.avg_entropy_numpy(one, n[np.newaxis])[0] for one, n in zip(r, ns)]
     assert values.tobytes() == np.array(direct).tobytes()
@@ -230,12 +232,6 @@ def test_gap_sample_requires_vanishing_y_column(monkeypatch, rng, route):
     def where_tilted(beta, broken, intact):  # scalar or stacked parameters
         return np.where(np.reshape(beta, np.shape(beta) + (1, 1)) > 0.0, broken, intact)
 
-    mixture = conjectures._mixture_matrix
-    monkeypatch.setattr(
-        conjectures,
-        "_mixture_matrix",
-        lambda lam, alpha, beta: where_tilted(beta, bad, mixture(lam, alpha, beta)),
-    )
     # every route builds R in closed form rather than from the state
     bad_r = pauli_expansion(TwoQubitState(bad)).entries
     mixture_r = conjectures._mixture_r
@@ -404,7 +400,7 @@ def test_guard_holds_on_narrow_dips():
     for seed in (5, 17, 20250814):
         r = _stacked_r(sample_mixture_params(1000, seed))
         values, _ = conjectures._constrained_optimum(r)
-        oracle, _ = conjectures._circle_oracle(r, 181, 1e-12)
+        oracle, _ = discord._circle_minimum(r, 181, 1e-12)
         assert not (values > oracle + 1e-6).any()
 
 
@@ -423,7 +419,8 @@ def test_sweep_mirror_cells_match_grid_oracle():
     mirror = [row for row in rows if row[1] > np.pi / 2 + 1e-12]
     assert len(mirror) == 10
     for alpha, beta, _, classical, _ in mirror:
-        state = TwoQubitState(conjectures._mixture_matrix(0.3, alpha, beta))
+        # MixtureParams stops at beta = pi/2; the mirror cells lie beyond it
+        state = make_mixture_state(SimpleNamespace(lam=0.3, alpha=alpha, beta=beta))
         oracle, _ = brute_force_min_entropy(pauli_expansion(state))
         s_a = von_neumann_entropy(partial_trace(state, "A"))
         assert classical == pytest.approx(s_a - oracle, abs=1e-9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discordlab import _kernels, conjectures
+from discordlab import _kernels, conjectures, discord
 from discordlab.conjectures import MixtureParams, mixture_correlations_via_conjecture
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,7 +28,7 @@ def test_constrained_optimum_brackets_the_circle_oracle(lam, alpha, beta):
     # and the returned angle is an equi-norm one
     r = conjectures._mixture_r(np.array([lam]), np.array([alpha]), np.array([beta]))
     (value,), (xi,) = conjectures._constrained_optimum(r)
-    oracle, _ = conjectures._circle_oracle(r, 181, 1e-12)
+    oracle, _ = discord._circle_minimum(r, 181, 1e-12)
     if not np.isnan(value):  # NaN: every angle equi-norm, the oracle's minimum is taken
         assert oracle[0] - 1e-12 <= value <= oracle[0] + 1e-4
         p, x = _kernels._outcomes(r, ((1, np.array([np.sin(xi)])), (3, np.array([np.cos(xi)]))))

@@ -8,6 +8,8 @@ from conftest import (
     random_x_params,
 )
 
+from discordlab import discord
+from discordlab.conjectures import MixtureParams, make_mixture_state, sample_mixture_params
 from discordlab.discord import (
     BRANCH_EQUI_ENTROPY,
     BRANCH_NUMERIC,
@@ -32,9 +34,11 @@ from discordlab.qstate import (
     TwoQubitState,
     XStateParams,
     binary_entropy,
+    extract_x_params,
     make_bell_diagonal,
     make_x_state,
     pauli_expansion,
+    reconstruct_state,
     swap_parties,
 )
 
@@ -233,6 +237,44 @@ def test_correlation_report_methods(rng):
         correlation_report(state, method="magic")
     with pytest.raises(ValueError, match="direction"):
         correlation_report(state, direction="sideways")
+
+
+def y_free_states(kind):
+    """Valid non-X states whose R ignores Bob's y axis (column 2 is zero)."""
+    if kind == "mixture":
+        params = [MixtureParams(lam=0.3, alpha=0.7, beta=1.1), *sample_mixture_params(4, 17)]
+    elif kind == "product":  # pure product (lambda = 0), or |0><0| on A (alpha = 0)
+        params = [MixtureParams(lam=0.0, alpha=0.4, beta=1.2),
+                  MixtureParams(lam=0.6, alpha=0.0, beta=0.9)]
+    else:  # Ginibre states through a Pauli channel on B that erases sigma_y
+        rng = np.random.default_rng(17)
+        erase_y = np.array([1.0, 0.6, 0.0, 0.4])
+        return [reconstruct_state(pauli_expansion(ginibre_state(rng)).entries * erase_y)
+                for _ in range(4)]
+    return [make_mixture_state(p) for p in params]
+
+
+@pytest.mark.parametrize("kind", ["mixture", "product", "y_erased"])
+def test_core_routes_y_free_states_to_the_circle(monkeypatch, kind):
+    # the exact minimum lies on the x-z circle, so the 2-D oracle is not
+    # called unless method numeric asks for it
+    calls = []
+    scan = discord.min_entropy_scan
+    monkeypatch.setattr(
+        discord, "min_entropy_scan", lambda *args: calls.append(args) or scan(*args)
+    )
+    for state in y_free_states(kind):
+        assert extract_x_params(state) is None
+        report = correlation_report(state)
+        assert len(calls) == 0
+        assert report.branch == BRANCH_NUMERIC
+        assert report.optimal_measurement.direction[1] == 0.0
+        oracle, _ = brute_force_min_entropy(pauli_expansion(state), refine_tol=1e-9)
+        assert report.min_avg_entropy == pytest.approx(oracle, abs=1e-12)
+        calls.clear()
+        correlation_report(state, method="numeric")
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_direction_swap_consistency(rng):
