@@ -21,7 +21,10 @@ own ``src/``.
 The output JSON holds every run's result, each side's median and
 quartiles per end-to-end metric, the number of pairs the working tree won
 on it (by the metric's ``better`` direction), and the machine: CPU count,
-Python, numpy and OpenBLAS versions.
+Python, numpy and OpenBLAS versions.  After each workload one verdict line
+per end-to-end metric goes to stderr: both medians, their ratio, the pairs
+won, and ``BEYOND BOUND`` where the working tree's median is worse than the
+parent's by more than the metric's bound.
 """
 
 import argparse
@@ -123,6 +126,21 @@ def summarise(runs, end_to_end):
     return out
 
 
+def verdicts(workload, summary):
+    """One line per end-to-end metric of ``summarise``'s output."""
+    lines = []
+    for name, entry in summary.items():
+        old, new = entry["parent"]["median"], entry["change"]["median"]
+        worse = (new - old if entry["better"] == "lower" else old - new) / old
+        lines.append(
+            f"{workload} {name}: parent {old:.4g} {entry['unit']}, change {new:.4g}, "
+            f"change/parent {entry['change_over_parent']:.3f}, "
+            f"won {entry['change_wins']}/{entry['pairs']}"
+            + (f", BEYOND BOUND {entry['bound']:g}" if worse > entry["bound"] else "")
+        )
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -170,6 +188,7 @@ def main(argv=None):
                     )
                     print(f"{name} pair {k} seed {seed} {side}: {values}",
                           file=sys.stderr, flush=True)
+            summary = summarise(runs, bench["end_to_end"])
             report["workloads"][name] = {
                 "runs": runs,
                 "correct": all(run["correct"] for run in runs),
@@ -177,8 +196,10 @@ def main(argv=None):
                     side: [run["failed"] / run["attempted"] for run in runs if run["side"] == side]
                     for side in ("parent", "change")
                 },
-                "summary": summarise(runs, bench["end_to_end"]),
+                "summary": summary,
             }
+            for line in verdicts(name, summary):
+                print(line, file=sys.stderr, flush=True)
             Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     finally:
         for tree in trees.values():

@@ -40,7 +40,9 @@ from .discord import (
     ProjectiveMeasurement,
     _assemble,
     _core,
+    _minimum,
     _parallel_map,  # also the CLI's worker map over general-R samples
+    _split,
     brute_force_min_entropy,
     post_measurement_ensemble,
 )
@@ -251,8 +253,9 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     because the gap is first-order in the measurement angle while the
     entropy value is only second-order.
 
-    The oracle is the correlation core's, on the whole stack of samples
-    (``_mixture_stack``): the family's R ignores the measured qubit's y
+    The oracle is the correlation core's minimum (``discord._minimum``),
+    on the whole stack of samples and without I or S(rho_A), which the
+    survey does not report: the family's R ignores the measured qubit's y
     axis, so its exact minimum lies on the x-z great circle (see
     ``discord._circle_minimum``).  It is independent of the equi-entropy
     constraint under test.  ``grid`` is read for its polar count only: the
@@ -266,9 +269,9 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
         raise ValueError(f"need at least one sample, got {samples!r}")
     drawn = sample_mixture_params(samples, seed)
     params = np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T
-    stack = _mixture_stack(*params, grid, threads, refine_tol)
-    ns = stack.oracle_n
-    prob, norm = _outcomes(stack.r, ((1, ns[:, :1]), (3, ns[:, 2:])))
+    r = _mixture_circle_r(*params)
+    values, ns, _ = _minimum(r, _density_matrix(r), "auto", grid, threads, refine_tol)
+    prob, norm = _outcomes(r, ((1, ns[:, :1]), (3, ns[:, 2:])))
     gaps = np.where((prob > P_FLOOR).all(axis=0), np.abs(norm[0] - norm[1]), 0.0)[:, 0]
     results = tuple(
         GapSample(
@@ -277,7 +280,7 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
             gap=gap,
             min_entropy=value,
         )
-        for p, n, gap, value in zip(drawn, ns, gaps.tolist(), stack.oracle_value.tolist())
+        for p, n, gap, value in zip(drawn, ns, gaps.tolist(), values.tolist())
     )
     return ConjectureRun(
         samples=results,
@@ -368,16 +371,11 @@ class _MixtureStack(NamedTuple):
     s_a: np.ndarray
 
 
-def _mixture_stack(lam, alpha, beta, grid, threads=1, refine_tol=1e-6):
-    """One stacked pass over the mixture states of the parameter arrays.
+def _mixture_circle_r(lam, alpha, beta):
+    """``_mixture_r``, checked to ignore the measured qubit's y axis.
 
-    R comes in closed form (``_mixture_r``) and goes to the correlation
-    core in one call, which gives I, S(rho_A) and the exact minimum: X rows
-    by their closed forms, the others by the x-z circle in chunks over
-    ``threads`` workers.  No state is built, and every entry is bitwise the
-    same whatever the threads.  Raises RuntimeError if column 2 of some R
-    is not zero within 1e-12: the family's constrained maximiser measures
-    on the x-z circle only.
+    Raises RuntimeError if column 2 of some R is not zero within 1e-12:
+    the family's constrained maximiser measures on the x-z circle only.
     """
     r = _mixture_r(lam, alpha, beta)
     y_column = np.abs(r[..., 2]).max()
@@ -385,6 +383,19 @@ def _mixture_stack(lam, alpha, beta, grid, threads=1, refine_tol=1e-6):
         raise RuntimeError(
             f"mixture state has |R[:, 2]| = {y_column:.3g}; the x-z circle does not apply"
         )
+    return r
+
+
+def _mixture_stack(lam, alpha, beta, grid, threads=1, refine_tol=1e-6):
+    """One stacked pass over the mixture states of the parameter arrays.
+
+    R comes in closed form (``_mixture_circle_r``) and goes to the
+    correlation core in one call, which gives I, S(rho_A) and the exact
+    minimum: X rows by their closed forms, the others by the x-z circle in
+    chunks over ``threads`` workers.  No state is built, and every entry is
+    bitwise the same whatever the threads.
+    """
+    r = _mixture_circle_r(lam, alpha, beta)
     info, s_a, values, ns, _ = _core(r, "auto", grid, threads, refine_tol)
     return _MixtureStack(lam, alpha, beta, r, values, ns, info, s_a)
 
@@ -478,8 +489,7 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
         threads,
     )
     reports = _conjecture_reports(_MixtureStack(*(field[constrained] for field in stack)))
-    classical = stack.s_a - stack.oracle_value
-    columns = np.stack((stack.info, classical, stack.info - classical), axis=-1)
+    columns = np.stack((stack.info, *_split(stack.info, stack.s_a, stack.oracle_value)), axis=-1)
     columns[constrained] = [(rep.mutual_info, rep.classical, rep.discord) for rep in reports]
     return [(a, b, *row) for a, b, row in zip(alpha.tolist(), beta.tolist(), columns.tolist())]
 

@@ -71,6 +71,9 @@ __all__ = [
 
 DEFAULT_GRID = (181, 360)  # (polar, azimuth) nodes over the hemisphere
 TIE_TOL = 1e-12  # |S_GH - S_EF| ties are reported as quasi_eigen
+# round-off the correlation invariants allow: I, C, Q >= 0 and I = C + Q; a
+# value out of range by less is pulled back in, by more is a fault
+_SLACK = 1e-9
 CIRCLE_TOL = 1e-12  # max |R[:, 2]| at or below this: Bob's y axis does not enter
 # rows per stacked circle-scan call.  A chunk's scan temporaries, (2, 16, 360)
 # doubles each, keep a 1k-sample survey's peak RSS at the one-state loop's;
@@ -158,9 +161,9 @@ class CorrelationReport:
     def __post_init__(self):
         if self.branch not in (BRANCH_QUASI_EIGEN, BRANCH_EQUI_ENTROPY, BRANCH_NUMERIC):
             raise InternalInvariantError(f"unknown branch label {self.branch!r}")
-        if abs(self.mutual_info - self.classical - self.discord) > 1e-9:
+        if abs(self.mutual_info - self.classical - self.discord) > _SLACK:
             raise InternalInvariantError("I = C + Q violated beyond 1e-9")
-        if self.classical < -1e-9 or self.discord < -1e-9:
+        if self.classical < -_SLACK or self.discord < -_SLACK:
             raise InternalInvariantError(
                 f"negative correlation: C = {self.classical!r}, Q = {self.discord!r}"
             )
@@ -268,12 +271,16 @@ def bell_diagonal_min_entropy(t):
 def brute_force_min_entropy(r, grid=DEFAULT_GRID, refine_tol=1e-6):
     """Grid-and-descent minimization of the average entropy over directions.
 
-    Scans a (polar, azimuth) grid of the upper hemisphere (antipodal
-    directions give the same measurement) and refines the best node by
-    coordinate descent until the step drops below ``refine_tol`` radians.
-    Returns ``(value, ProjectiveMeasurement)``; the value never exceeds
-    any grid node.  Works for singular R as well: only the forward map
-    from directions to ensembles is evaluated.
+    Finds the best node of a (polar, azimuth) grid of the upper hemisphere
+    (antipodal directions give the same measurement) coarse to fine, and
+    refines it by coordinate descent until the step drops below
+    ``refine_tol`` radians (``_kernels.min_entropy_scan``).  Returns
+    ``(value, ProjectiveMeasurement)``; the value is never above any node
+    the scan evaluated.  On the default grid that start node is the whole
+    grid's best on all but 3 of 4,000 measured mixed states, which lie in
+    valleys narrower than the coarse spacing; pure states' zero plateau
+    may start elsewhere at the same value.  Works for singular R as well:
+    only the forward map from directions to ensembles is evaluated.
     """
     entries = _entries(r)
     n_polar, n_azimuth = grid
@@ -292,10 +299,30 @@ def _direction_key(direction):
 
 def _entropies(r, rho):
     """I(A:B) and S(rho_A) = h(|R[1:, 0]|) of each R in an (N, 4, 4) stack;
-    S(rho_AB)'s stacked eigvalsh of ``rho`` is the positivity check."""
+    S(rho_AB)'s stacked eigvalsh of ``rho`` is the positivity check.
+
+    Subadditivity gives I >= 0, but on a product state h(|a|) + h(|b|) and
+    S(rho_AB) come by routes whose rounding does not cancel: an I within
+    ``_SLACK`` below 0 reads +0.0.
+    """
     norms = np.linalg.norm(np.stack((r[:, 1:, 0], r[:, 0, 1:])), axis=-1)
     s_a, s_b = _entropy_of_norms(np.minimum(norms, 1.0))
-    return s_a + s_b - von_neumann_entropy(rho), s_a
+    info = s_a + s_b - von_neumann_entropy(rho)
+    return np.where((info <= 0.0) & (info >= -_SLACK), 0.0, info), s_a
+
+
+def _split(info, s_a, values):
+    """C = S(rho_A) - min average entropy and Q = I - C, per state.
+
+    0 <= C <= I holds exactly, so a C out of that range by at most
+    ``_SLACK`` is round-off and is pulled back in (to +0.0 or to I),
+    keeping Q >= 0 and I = C + Q; one farther out is left for
+    ``CorrelationReport`` to reject.
+    """
+    classical = s_a - values
+    classical = np.where((classical <= 0.0) & (classical >= -_SLACK), 0.0, classical)
+    classical = np.where((classical > info) & (classical <= info + _SLACK), info, classical)
+    return classical, info - classical
 
 
 def _parallel_map(fn, items, threads):
@@ -334,12 +361,14 @@ def _circle_minimum(r, n_polar, refine_tol=1e-6, threads=1):
     return value, np.stack((n1, np.zeros_like(n1), n3), axis=-1)
 
 
-def _core(r, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
-    """``(info, s_a, values, directions, branches)`` of an (N, 4, 4) stack of R.
+def _minimum(r, rho, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
+    """``(values, directions, branches)`` of an (N, 4, 4) stack of R and its
+    density matrices ``rho``: the minimal average entropy, its direction and
+    how it was found.
 
     Rows are routed here only, three ways:
 
-    * X rows (the test of ``extract_x_params``) to the closed forms;
+    * X rows (the test of ``extract_x_params`` on ``rho``) to the closed forms;
     * other rows whose column 2 vanishes within ``CIRCLE_TOL`` to the
       exact x-z circle (``_circle_minimum``, chunks over ``threads``);
     * the rest one by one to the 2-D oracle on ``grid``.
@@ -349,8 +378,6 @@ def _core(r, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
     refine to ``refine_tol`` radians and label their rows numeric.  A row's
     results do not depend on the rest of the stack or on ``threads``.
     """
-    rho = _density_matrix(r)
-    info, s_a = _entropies(r, rho)
     off_x = np.abs(rho[:, _OFF_X[0], _OFF_X[1]]).max(axis=1)
     exact = method != "numeric"
     x = exact & (off_x <= X_STRUCTURE_TOL)
@@ -370,24 +397,34 @@ def _core(r, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
     for k in np.flatnonzero(~(x | circle)):
         values[k], measurement = brute_force_min_entropy(r[k], grid, refine_tol)
         directions[k] = measurement.direction
-    return info, s_a, values, directions, branches
+    return values, directions, branches
+
+
+def _core(r, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
+    """``(info, s_a, values, directions, branches)`` of an (N, 4, 4) stack of R:
+    ``_entropies`` and ``_minimum`` (arguments as there) on one stack of
+    density matrices."""
+    rho = _density_matrix(r)
+    return (*_entropies(r, rho), *_minimum(r, rho, method, grid, threads, refine_tol))
 
 
 def _assemble(r, info, s_a, values, directions, branches):
     """One CorrelationReport per R of an (N, 4, 4) stack from ``_core``'s arrays."""
-    classical = s_a - values
-    rows = zip(info.tolist(), classical.tolist(), values.tolist(), directions, branches)
+    classical, discord = _split(info, s_a, values)
+    rows = zip(
+        info.tolist(), classical.tolist(), discord.tolist(), values.tolist(), directions, branches
+    )
     return tuple(
         CorrelationReport(
             mutual_info=i,
             classical=c,
-            discord=i - c,
+            discord=q,
             min_avg_entropy=v,
             optimal_measurement=ProjectiveMeasurement(n),
             optimal_ensemble=ensemble,
             branch=str(branch),
         )
-        for (i, c, v, n, branch), ensemble in zip(rows, _ensembles(r, directions))
+        for (i, c, q, v, n, branch), ensemble in zip(rows, _ensembles(r, directions))
     )
 
 

@@ -12,7 +12,7 @@ from discordlab.cli import (
     load_state,
     parse_and_dispatch,
 )
-from discordlab.qstate import extract_x_params, pauli_expansion
+from discordlab.qstate import TwoQubitState, extract_x_params, pauli_expansion
 from discordlab.steering import steering_ellipsoid
 
 X_SPEC = '{"xstate": {"a": 0.4, "b": 0.1, "c": 0.2, "d": 0.3, "u": 0.1, "v": 0.1}}'
@@ -288,6 +288,40 @@ def test_outputs_print_no_negative_zero(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert re.findall(r"(?<![\w.])-0\.0(?!\d)", out) == []
+
+
+def _ginibre_qubit(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+@pytest.mark.parametrize("direction", ["b-to-a", "a-to-b"])
+def test_compute_product_states_print_no_negative_correlations(capsys, monkeypatch, direction):
+    # I = C = Q = 0 on a product state; I comes from two routes whose
+    # rounding does not cancel, so it is clamped at +0.0 and C kept in [0, I]
+    rng = np.random.default_rng(23)
+    rho_a, rho_b = _ginibre_qubit(rng), _ginibre_qubit(rng)
+    ginibre_product = dump_state(TwoQubitState(np.kron(rho_a, rho_b)))
+    specs = {
+        "beta-zero": '{"mixture": {"lambda": 0.3, "alpha": 0, "beta": 1.1}}',
+        "lambda-zero": '{"mixture": {"lambda": 0, "alpha": 0.7, "beta": 1.1}}',
+        "ginibre-qubits": json.dumps(ginibre_product),
+    }
+    calls = []
+    scan = discord.min_entropy_scan
+    monkeypatch.setattr(discord, "min_entropy_scan", lambda *a: calls.append(a) or scan(*a))
+    for label, spec in specs.items():
+        calls.clear()
+        code, out, err = run(capsys, ["compute", "--state", spec, "--direction", direction])
+        assert code == 0, err
+        payload = json.loads(out)
+        info, c, q = (payload[k] for k in ("mutual_info", "classical", "discord"))
+        assert 0.0 <= c <= info <= 1e-12 and 0.0 <= q <= 1e-12, (label, info, c, q)
+        assert abs(info - c - q) <= 1e-15, label
+        assert re.findall(r"(?<![\w.])-0\.0(?!\d)", out) == [], label
+        # the Bloch vectors' y components keep R off the x-z circle
+        assert len(calls) == (label == "ginibre-qubits"), label
 
 
 # ---- ellipsoid -----------------------------------------------------------

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import ginibre_state, random_direction
+from conftest import ginibre_state, random_bell_diagonal, random_direction, random_x_params
 
 from discordlab import _kernels, conjectures
 from discordlab.discord import (
@@ -13,7 +13,7 @@ from discordlab.discord import (
     avg_entropy,
     post_measurement_ensemble,
 )
-from discordlab.qstate import pauli_expansion
+from discordlab.qstate import TwoQubitState, make_bell_diagonal, make_x_state, pauli_expansion
 
 
 def test_grid_directions_unit_norm():
@@ -63,6 +63,95 @@ def test_scan_never_above_grid_nodes(rng):
     grid_best = _kernels.avg_entropy_numpy(r, ns).min()
     value, _, _ = _kernels.min_entropy_scan(r, 31, 60)
     assert value <= grid_best + 1e-15
+
+
+def _scan_states(rng, count):
+    """Ginibre ranks 2-4, random X, Bell-diagonal and X + eps Ginibre, in turn."""
+    out = []
+    for k in range(count):
+        kind = k % 6
+        if kind < 3:
+            state = ginibre_state(rng, rank=2 + kind)
+        elif kind == 3:
+            state = make_x_state(random_x_params(rng))
+        elif kind == 4:
+            state = make_bell_diagonal(random_bell_diagonal(rng))
+        else:
+            eps = 10.0 ** rng.uniform(-6.0, -1.0)
+            x = make_x_state(random_x_params(rng)).matrix
+            state = TwoQubitState((1.0 - eps) * x + eps * ginibre_state(rng).matrix)
+        out.append(pauli_expansion(state).entries)
+    return out
+
+
+def _record_start(monkeypatch):
+    # stands in for the descent: records where it would start and returns there
+    starts = []
+
+    def refine(_objective, start, value, _step, _tol):
+        starts.append((np.array(start, dtype=float).reshape(1, -1), np.array([value])))
+        return starts[-1][1], starts[-1][0]
+
+    monkeypatch.setattr(_kernels, "_refine_python", refine)
+    return starts
+
+
+def test_scan_starts_from_full_grid_best_node(monkeypatch, rng):
+    # the coarse-to-fine scan evaluates ~4,500 of the default grid's 65,160
+    # nodes, yet starts the descent from the node np.argmin picks over them all
+    tt, pp, ns = _kernels._cached_grid(*DEFAULT_GRID)
+    states = _scan_states(rng, 240)
+    starts = _record_start(monkeypatch)
+    for i, r in enumerate(states):
+        full = _kernels.avg_entropy_numpy(r, ns)
+        k = int(np.argmin(full))
+        _kernels.min_entropy_scan(r, *DEFAULT_GRID)
+        point, value = starts[-1]
+        assert (point[0, 0], point[0, 1], value[0]) == (tt[k], pp[k], full[k]), i
+
+
+def test_scan_rank_one_plateau_never_above_grid_minimum(rng):
+    # a pure state leaves A pure whatever is measured: the values are a
+    # plateau of zeros and round-off, with up to hundreds of coarse minima
+    ns = _kernels._cached_grid(*DEFAULT_GRID)[2]
+    for _ in range(12):
+        r = pauli_expansion(ginibre_state(rng, rank=1)).entries
+        value, _, _ = _kernels.min_entropy_scan(r, *DEFAULT_GRID)
+        assert value <= _kernels.avg_entropy_numpy(r, ns).min()
+
+
+def _record_rows(monkeypatch):
+    rows = []
+    evaluate = _kernels.avg_entropy_numpy
+
+    def recording(r, ns):
+        rows.append(np.atleast_2d(ns).copy())
+        return evaluate(r, ns)
+
+    monkeypatch.setattr(_kernels, "avg_entropy_numpy", recording)
+    return rows
+
+
+def test_scan_evaluates_a_fraction_of_the_default_grid(monkeypatch, rng):
+    # every call counts, the descent's included; a full scan passes 65,160+
+    rows = _record_rows(monkeypatch)
+    for _ in range(6):
+        r = pauli_expansion(ginibre_state(rng)).entries
+        rows.clear()
+        _kernels.min_entropy_scan(r, *DEFAULT_GRID)
+        assert sum(map(len, rows)) <= 8000
+
+
+def test_scan_evaluates_every_node_of_other_shapes(monkeypatch, rng):
+    # 31 x 60: the stride does not divide 30 polar steps, so every node is
+    # coarse; the pole row's 60 nodes are one direction, evaluated once
+    _, _, ns = _kernels.grid_directions(31, 60)
+    rows = _record_rows(monkeypatch)
+    r = pauli_expansion(ginibre_state(rng)).entries
+    _kernels.min_entropy_scan(r, 31, 60)
+    evaluated = np.concatenate(rows)
+    seen = (ns[:, np.newaxis] == evaluated[np.newaxis]).all(axis=2).any(axis=1)
+    assert len(ns) == 1860 and seen.all()
 
 
 def test_min_entropy_scan_antipodal_invariance(rng):
