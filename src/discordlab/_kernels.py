@@ -2,19 +2,22 @@
 
 Minimising the average post-measurement entropy over measurement directions
 is the hot loop of the package: the best node of a hemisphere grid
-followed by coordinate-descent refinement, once per state and many
-thousand times in Monte Carlo sweeps.  ``min_entropy_scan`` takes its grid
-from a cache filled on first use per shape and finds the best node coarse
-to fine: ``avg_entropy_numpy`` evaluates every 4th row and column, then
-the dense nodes around the coarse pass's lowest local minima
-(``_scan_tables`` and ``_fine_nodes``, also cached per shape), about 4,500
-of the default grid's 65,160 nodes.  ``_refine_python`` refines that node;
-it is the one step-halving descent, which also serves the circle and chord
-searches, and descends from rows of starting points, one per state, each
-with its own value, point and steps.  ``avg_entropy_numpy`` works through
-long direction arrays in fixed blocks of rows, so that the temporaries
-stay small enough to be reused from the heap instead of being mapped
-afresh.
+followed by a descent from it, once per state and many thousand times in
+Monte Carlo sweeps.  ``min_entropy_scan`` takes its grid from a cache
+filled on first use per shape and finds the best node coarse to fine:
+``avg_entropy_numpy`` evaluates every 4th row and column, then the dense
+nodes around the coarse pass's lowest local minima (``_scan_tables`` and
+``_fine_nodes``, also cached per shape), about 4,500 of the default grid's
+65,160 nodes.  ``_sphere_descent`` refines that node by Newton steps on
+the sphere, reading the gradient and Hessian off a 9-point stencil in the
+tangent plane, one point and its stencil per call, ~4 calls per state;
+the chord search of ``conjectures.min_chord_entropy`` takes the same
+descent.  The circle scan keeps ``_refine_python``, the step-halving
+coordinate descent, which descends from rows of starting points, one per
+state, each with its own value, point and steps.  ``avg_entropy_numpy``
+works through long direction arrays in fixed blocks of rows, so that the
+temporaries stay small enough to be reused from the heap instead of being
+mapped afresh.
 
 When R ignores the measured qubit's y axis the search reduces exactly to
 the x-z great circle, scanned by ``min_entropy_circle_scan`` for one R or
@@ -39,6 +42,7 @@ give the same measurement, so scanning one hemisphere suffices.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -63,6 +67,15 @@ _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcomes + and - along a lead
 # heap trim threshold, so warm calls reuse heap pages instead of faulting
 # them in again; at 4096 rows they do not, and a call takes over 200 faults.
 _BLOCK_ROWS = 2048
+# the sphere descent's stencil in units of its scale: the centre, +-u, +-v and
+# the four diagonals of the tangent plane
+_STENCIL = np.array(
+    [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
+    dtype=np.float64,
+)
+_FLOOR = 1e-5  # the descent's stencil scale, and the least step scale
+_REACH = 4.0  # longest descent step, in lengths of the last accepted one
+_SHRINK = 16.0  # stencil scale divisor once the descent's step is below the tolerance
 _GRIDS = {}  # (n_polar, n_azimuth) -> read-only grid_directions output
 _STRIDE = 4  # coarse pass of the hemisphere scan: every 4th polar row and azimuth column
 _BASINS = 8  # coarse local minima whose surroundings the fine pass evaluates
@@ -273,13 +286,95 @@ def _refine_python(objective, start, value, step, tol):
     return out_value, out_point
 
 
+def _sphere_descent(values_at, start, value, step, tol):
+    """Newton descent over unit directions from ``start``, one direction at a time.
+
+    ``values_at`` maps an (m, 3) array of unit directions to m values;
+    ``start`` is a unit direction n0 and ``value`` the objective there.
+    The descent works in the tangent frame at n0, n(u, v) = (n0 + u e1 +
+    v e2) / |.|, and each call of ``values_at`` evaluates one point with
+    its 9-point stencil: the point, +-s along each tangent axis and the 4
+    diagonals, s = ``_FLOOR`` unless shrunk (below).  Central differences
+    give the gradient and Hessian there.  The step is the Newton step when
+    the 2x2 Hessian is positive definite, else a steepest-descent step of
+    length h, capped at ``_REACH`` h; h starts at ``step`` and becomes the
+    length of each accepted step, kept within [``_FLOOR``, ``step``].  The
+    next call probes the step's point with its stencil: a lower point is
+    accepted, one that is not quarters the step, probed again from the same
+    model.
+
+    Once the step is below ``tol`` (> 0), the descent ends only if s is
+    below ``tol`` too and no stencil point is lower: it moves to a lower
+    stencil point if there is one, else probes the stencil again with s
+    and h ``_SHRINK`` times smaller.  So it does not stop short at a cusp,
+    where the difference model breaks down.  Returns ``(value,
+    direction)``: the lowest value found, never above ``value``, and the
+    direction where ``values_at`` gave it (``start`` itself if nothing was
+    lower).
+    """
+    if not tol > 0.0:
+        raise ValueError(f"refine tolerance must be positive, got {tol!r}")
+    n0 = np.asarray(start, dtype=np.float64)
+    x, y, z = n0.tolist()
+    sign = math.copysign(1.0, z)  # Duff et al.'s branch-free orthonormal frame at n0
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.array((1.0 + sign * x * x * a, sign * b, -sign * x))
+    e2 = np.array((b, sign + y * y * a, -y))
+
+    def probe(u, v, scale):  # the directions and values of a point's stencil
+        uv = (u, v) + scale * _STENCIL
+        ns = n0 + uv[:, :1] * e1 + uv[:, 1:] * e2
+        ns /= np.linalg.norm(ns, axis=1)[:, np.newaxis]
+        return ns, values_at(ns).tolist()
+
+    best, best_n = float(value), n0
+    u = v = 0.0
+    h, scale = float(step), _FLOOR
+    _, vals = probe(u, v, scale)  # the model: stencil values at (u, v), scale apart
+    while True:
+        f0, s2 = vals[0], scale * scale
+        gu, gv = (vals[1] - vals[2]) / (2.0 * scale), (vals[3] - vals[4]) / (2.0 * scale)
+        huu, hvv = (vals[1] - 2.0 * f0 + vals[2]) / s2, (vals[3] - 2.0 * f0 + vals[4]) / s2
+        huv = (vals[5] - vals[6] - vals[7] + vals[8]) / (4.0 * s2)
+        det = huu * hvv - huv * huv
+        if huu > 0.0 and det > 0.0:
+            du, dv = (huv * gv - hvv * gu) / det, (huv * gu - huu * gv) / det
+        else:
+            norm = math.hypot(gu, gv)
+            du, dv = (-h * gu / norm, -h * gv / norm) if norm > 0.0 else (0.0, 0.0)
+        length = math.hypot(du, dv)
+        if length > _REACH * h:
+            du, dv, length = du * (_REACH * h / length), dv * (_REACH * h / length), _REACH * h
+        while length >= tol:
+            ns, tvals = probe(u + du, v + dv, _FLOOR)
+            if tvals[0] < best:
+                h, scale = min(max(length, _FLOOR), step), _FLOOR
+                break
+            du, dv, length = 0.25 * du, 0.25 * dv, 0.25 * length
+        else:
+            k = vals.index(min(vals))
+            if not vals[k] < best:
+                if scale < tol:
+                    return best, best_n
+                scale = h = scale / _SHRINK
+                _, vals = probe(u, v, scale)
+                continue
+            du, dv = scale * _STENCIL[k]  # the lower stencil point, with its stencil
+            h = scale
+            ns, tvals = probe(u + du, v + dv, scale)
+        u, v, best, best_n, vals = u + du, v + dv, tvals[0], ns[0], tvals
+
+
 def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     """Minimum average post-measurement entropy over the direction sphere.
 
     Finds the best node of an (n_polar x n_azimuth) hemisphere grid, then
-    refines from it by ``_refine_python`` over (theta, phi) until the step
-    drops below ``refine_tol`` radians (> 0).  The result is never above
-    that node.  Returns ``(value, theta, phi)``.
+    refines from it by ``_sphere_descent``, Newton steps on the sphere,
+    until the step drops below ``refine_tol`` radians (> 0).  The result is
+    never above that node.  Returns ``(value, theta, phi)``: the value at
+    the final direction, and that direction's angles, taken on the upper
+    hemisphere (antipodes are one measurement).
 
     The grid comes from a cache filled on the first call per shape.  When
     ``_STRIDE`` divides n_polar - 1 and half the azimuths, as on the
@@ -297,16 +392,18 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     X, Bell-diagonal and X + eps Ginibre draws).  On other shapes the
     stride is 1 and every node is evaluated.
 
-    A warm call on the default grid takes ~1.4 ms on one core of a 2-core
+    A warm call on the default grid takes ~0.7 ms on one core of a 2-core
     x86-64 VM (Python 3.11, numpy 2.4): ~0.45 ms to find the node among
-    ~4,500 evaluated and ~0.9 ms of descent in ~13 calls of 32 directions.
+    ~4,500 evaluated and ~0.2 ms of descent in ~4 calls of 9 directions
+    (the step-halving (theta, phi) descent took ~0.8 ms in ~12 calls of
+    32, and up to ~2 s near the pole).
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     if r.shape != (4, 4):
         raise ValueError(f"expected a 4x4 coefficient matrix, got {r.shape}")
     if n_polar < 2 or n_azimuth < 1:
         raise ValueError("grid must have at least 2 polar and 1 azimuth nodes")
-    tt, pp, ns = _cached_grid(n_polar, n_azimuth)
+    _, _, ns = _cached_grid(n_polar, n_azimuth)
     stride, nodes, neighbours = _scan_tables(n_polar, n_azimuth)
     coarse = avg_entropy_numpy(r, np.take(ns, nodes, axis=0))
     fine = _fine_nodes(coarse, stride, nodes, neighbours, n_polar, n_azimuth)
@@ -314,14 +411,10 @@ def min_entropy_scan(r, n_polar, n_azimuth, refine_tol=1e-6):
     vals = np.concatenate((coarse, avg_entropy_numpy(r, np.take(ns, fine, axis=0))))
     value = vals.min()
     k = int(index[vals == value].min())
-
-    def objective(_rows, angles):
-        return avg_entropy_numpy(r, _directions(angles[0, :, 0], angles[0, :, 1]))[np.newaxis]
-
     step = max(0.5 * np.pi / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    best, point = _refine_python(objective, (tt[k], pp[k]), value, step, refine_tol)
-    theta, phi = point[0]
-    return float(best[0]), float(theta), float(phi)
+    best, n = _sphere_descent(lambda ds: avg_entropy_numpy(r, ds), ns[k], value, step, refine_tol)
+    x, y, z = n if n[2] >= 0.0 else -n
+    return float(best), math.atan2(math.hypot(x, y), z), math.atan2(y, x)
 
 
 def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):

@@ -28,10 +28,9 @@ from ._kernels import (
     P_FLOOR,
     _avg_entropy,
     _cached_grid,
-    _directions,
     _entropy_of_norms,
     _outcomes,
-    _refine_python,
+    _sphere_descent,
 )
 from .discord import (
     BRANCH_EQUI_ENTROPY,
@@ -651,7 +650,12 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
     the chord point + s d with surface intersections s- < 0 < s+, weights
     p+ = -s_- / (s_+ - s_-).  Used to probe the sliding invariance of
     Class I states at points that are not Bloch vectors of any marginal.
-    Refines the best grid direction by ``_refine_python`` to ``refine_tol`` > 0.
+    Refines the best grid direction to ``refine_tol`` > 0 by the Newton
+    descent on the sphere of the 2-D oracle (``_kernels._sphere_descent``),
+    5-8 calls of 9 directions on Ginibre states' ellipsoids, even one with
+    semi-axes 0.578, 0.232 and 0.0066; 17 on the rotationally symmetric one
+    of ``offaxis_reference_state``, whose minima form a flat ring.  The x-z
+    circle scan keeps the step-halving coordinate descent.
     """
     if isinstance(ellipsoid, SteeringEllipsoid):
         if ellipsoid.degeneracy != "full":
@@ -690,15 +694,12 @@ def min_chord_entropy(ellipsoid, point, n_polar=61, n_azimuth=120, refine_tol=1e
         ) * _entropy_of_norms(np.minimum(y_minus, 1.0))
         return out
 
-    def value_at(_rows, angles):
-        return chord_values(_directions(angles[0, :, 0], angles[0, :, 1]))[np.newaxis]
-
-    tt, pp, ds = _cached_grid(n_polar, n_azimuth)
+    _, _, ds = _cached_grid(n_polar, n_azimuth)
     vals = chord_values(ds)
     k = int(np.argmin(vals))
     step = max(np.pi / 2 / max(n_polar - 1, 1), 2.0 * np.pi / n_azimuth)
-    refined, _ = _refine_python(value_at, (tt[k], pp[k]), vals[k], step, refine_tol)
-    return float(refined[0])
+    refined, _ = _sphere_descent(chord_values, ds[k], vals[k], step, refine_tol)
+    return float(refined)
 
 
 def offaxis_reference_state():

@@ -273,8 +273,9 @@ def brute_force_min_entropy(r, grid=DEFAULT_GRID, refine_tol=1e-6):
 
     Finds the best node of a (polar, azimuth) grid of the upper hemisphere
     (antipodal directions give the same measurement) coarse to fine, and
-    refines it by coordinate descent until the step drops below
-    ``refine_tol`` radians (``_kernels.min_entropy_scan``).  Returns
+    refines it by Newton steps on the sphere until the step drops below
+    ``refine_tol`` radians (``_kernels.min_entropy_scan``; the x-z circle
+    scan keeps the step-halving coordinate descent).  Returns
     ``(value, ProjectiveMeasurement)``; the value is never above any node
     the scan evaluated.  On the default grid that start node is the whole
     grid's best on all but 3 of 4,000 measured mixed states, which lie in

@@ -616,3 +616,27 @@ def test_min_chord_entropy_matches_measurement_oracle(rng):
         )
         oracle, _ = brute_force_min_entropy(pauli_expansion(state))
         assert chord == pytest.approx(oracle, abs=1e-8)
+
+
+def test_min_chord_entropy_descends_a_thin_ellipsoid(monkeypatch, rng):
+    # the third Ginibre state above: semi-axes 0.578, 0.232 and 0.0066, a
+    # valley oblique to both grid angles that a (theta, phi) crawl took
+    # ~2,200 calls to follow
+    state = [ginibre_state(rng) for _ in range(3)][-1]
+    ellipsoid = steering_ellipsoid(state)
+    assert ellipsoid.semi_axes.min() < 0.01
+    descend = conjectures._sphere_descent
+    calls = []
+
+    def counting(values_at, *args):
+        def counted(ns):
+            calls.append(len(ns))
+            return values_at(ns)
+
+        return descend(counted, *args)
+
+    monkeypatch.setattr(conjectures, "_sphere_descent", counting)
+    chord = min_chord_entropy(ellipsoid, bloch_vector(partial_trace(state, "A")))
+    assert len(calls) <= 40
+    oracle, _ = brute_force_min_entropy(pauli_expansion(state), refine_tol=1e-9)
+    assert chord == pytest.approx(oracle, abs=1e-12)

@@ -88,18 +88,18 @@ def _record_start(monkeypatch):
     # stands in for the descent: records where it would start and returns there
     starts = []
 
-    def refine(_objective, start, value, _step, _tol):
-        starts.append((np.array(start, dtype=float).reshape(1, -1), np.array([value])))
+    def descend(_values_at, start, value, _step, _tol):
+        starts.append((np.array(start, dtype=float), float(value)))
         return starts[-1][1], starts[-1][0]
 
-    monkeypatch.setattr(_kernels, "_refine_python", refine)
+    monkeypatch.setattr(_kernels, "_sphere_descent", descend)
     return starts
 
 
 def test_scan_starts_from_full_grid_best_node(monkeypatch, rng):
     # the coarse-to-fine scan evaluates ~4,500 of the default grid's 65,160
     # nodes, yet starts the descent from the node np.argmin picks over them all
-    tt, pp, ns = _kernels._cached_grid(*DEFAULT_GRID)
+    _, _, ns = _kernels._cached_grid(*DEFAULT_GRID)
     states = _scan_states(rng, 240)
     starts = _record_start(monkeypatch)
     for i, r in enumerate(states):
@@ -107,7 +107,7 @@ def test_scan_starts_from_full_grid_best_node(monkeypatch, rng):
         k = int(np.argmin(full))
         _kernels.min_entropy_scan(r, *DEFAULT_GRID)
         point, value = starts[-1]
-        assert (point[0, 0], point[0, 1], value[0]) == (tt[k], pp[k], full[k]), i
+        assert (point.tobytes(), value) == (ns[k].tobytes(), full[k]), i
 
 
 def test_scan_rank_one_plateau_never_above_grid_minimum(rng):
@@ -152,6 +152,136 @@ def test_scan_evaluates_every_node_of_other_shapes(monkeypatch, rng):
     evaluated = np.concatenate(rows)
     seen = (ns[:, np.newaxis] == evaluated[np.newaxis]).all(axis=2).any(axis=1)
     assert len(ns) == 1860 and seen.all()
+
+
+# R of three X + eps Ginibre states, drawn as _scan_states draws them from
+# seed 2024, whose optimum lies within ~5e-4 rad of e_z: a (theta, phi)
+# step-halving descent took 15,000-28,000 calls on each
+POLE_STATES = [
+    # draw 7: theta* = 6.1e-05 rad
+    [
+        [1.0000000000000002, -3.984661488984012e-06, -1.2292484835904719e-05, 0.13638579649752125],
+        [1.854050613553021e-06, -0.13477054176682862, 0.1374522707913812, 1.9451471731417333e-05],
+        [3.6210290237509516e-05, 0.17641475337172083, 0.18985493954701071, -2.6626975221452637e-06],
+        [0.32284499842176984, 1.9869111242397745e-05, 2.3207354999890253e-05, 0.7996644100218399],
+    ],
+    # draw 251: theta* = 6.2e-05 rad
+    [
+        [1.0, 2.5371678062481564e-06, 9.026674833011009e-07, -0.3508026057575745],
+        [-7.608740424790681e-07, 0.17955651481133392, 0.41580038604860126, -5.931556318426743e-07],
+        [2.0724197074151455e-06, -0.027149740939937467, 0.06779687791069744, -6.915487888873977e-07],
+        [0.004924886519832999, -2.0151600725948723e-06, 2.9529264156885937e-06, -0.4458003547914783],
+    ],
+    # draw 756: theta* = 4.8e-04 rad
+    [
+        [1.0, -8.385892067877871e-05, 5.719178877716313e-05, -0.37138686666258347],
+        [-0.00026439681863044904, -0.22915827484815657, 0.31252107157228076, 0.00025083753401134525],
+        [-0.00025764905954217115, 0.35273773473475906, 0.2754312789535174, 0.00021187764605199735],
+        [-0.527812296406635, 8.458231974909658e-06, -0.00014772836362576038, 0.6470214126672583],
+    ],
+]
+
+
+def test_scan_near_the_pole_takes_few_calls(monkeypatch):
+    # every avg_entropy_numpy call counts, the grid's two included
+    ns = _kernels._cached_grid(*DEFAULT_GRID)[2]
+    rows = _record_rows(monkeypatch)
+    for r in map(np.array, POLE_STATES):
+        rows.clear()
+        value, theta, _ = _kernels.min_entropy_scan(r, *DEFAULT_GRID)
+        assert len(rows) <= 60
+        assert theta < 5e-4
+        assert value <= _kernels.avg_entropy_numpy(r, ns).min()
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _recorded(objective):
+    # the objective of unit directions, recording each call's directions and values
+    calls = []
+
+    def values_at(ns):
+        values = objective(ns)
+        calls.append((ns.copy(), values.copy()))
+        return values
+
+    return values_at, calls
+
+
+def _turned(n, tangent, angle):
+    """n moved by ``angle`` along the great circle through the unit ``tangent``."""
+    return _unit(n * np.cos(angle) + _unit(tangent - (tangent @ n) * n) * np.sin(angle))
+
+
+M = _unit([0.3, -0.5, 0.8])
+P = _unit(np.cross(M, [1.0, 2.0, 0.5]))
+Q = np.cross(M, P)
+
+
+@pytest.mark.parametrize("turn", [0.4, 1.3, 2.2])
+def test_sphere_descent_newton_on_a_thin_bowl(turn):
+    # curvatures 2e4 and 2 along the great circles through M: condition 1e4,
+    # axes oblique to any frame the descent picks; a start about half a grid
+    # spacing away
+    def bowl(ns):  # summed row by row, so a row's value does not depend on the call
+        return 1e4 * ((ns - M) * P).sum(axis=-1) ** 2 + ((ns - M) * Q).sum(axis=-1) ** 2
+
+    values_at, calls = _recorded(bowl)
+    start = _turned(M, np.cos(turn) * P + np.sin(turn) * Q, 0.006)
+    # 1e-12 above the minimum is 1e-8 rad off along the steep axis
+    value, n = _kernels._sphere_descent(values_at, start, bowl(start), 0.0175, 1e-7)
+    assert value < 1e-12
+    assert len(calls) <= 10
+    assert value == bowl(n[np.newaxis])[0]
+
+
+def test_sphere_descent_on_a_kink():
+    # a cone: |n - M| has no derivative at its minimum
+    def cone(ns):
+        return np.linalg.norm(ns - M, axis=-1)
+
+    tol = 1e-6
+    for turn in np.linspace(0.0, np.pi, 7):
+        start = _turned(M, np.cos(turn) * P + np.sin(turn) * Q, 0.01)
+        value, n = _kernels._sphere_descent(cone, start, cone(start), 0.0175, tol)
+        assert value <= cone(start)
+        assert np.linalg.norm(n - M) <= tol
+
+
+def test_sphere_descent_on_a_constant_returns_its_start():
+    values_at, calls = _recorded(lambda ns: np.full(len(ns), 0.25))
+    start = _unit([0.2, 0.1, -0.9])
+    value, n = _kernels._sphere_descent(values_at, start, 0.25, 0.0175, 1e-6)
+    assert value == 0.25 and n.tobytes() == start.tobytes()
+    assert len(calls) <= 3
+
+
+def test_sphere_descent_rejects_a_nonpositive_tolerance():
+    for tol in (0.0, -1e-6, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            _kernels._sphere_descent(lambda ns: ns[:, 0], M, M[0], 0.01, tol)
+
+
+def test_sphere_descent_stops_on_a_certificate():
+    # the descent ends where it probed a stencil finer than tol and no point
+    # of it was lower; on a cone the difference model is wrong at every scale
+    def cone(ns):
+        return np.linalg.norm(ns - M, axis=-1)
+
+    tol = 1e-6
+    for turn in (0.3, 1.9):
+        values_at, calls = _recorded(cone)
+        start = _turned(M, np.cos(turn) * P + np.sin(turn) * Q, 0.01)
+        value, n = _kernels._sphere_descent(values_at, start, cone(start), 0.0175, tol)
+        certified = [
+            (ns, values) for ns, values in calls
+            if ns[0].tobytes() == n.tobytes() and np.linalg.norm(ns[1] - ns[0]) < tol
+        ]
+        assert certified
+        assert all(values.min() >= value for _, values in certified)
 
 
 def test_min_entropy_scan_antipodal_invariance(rng):
