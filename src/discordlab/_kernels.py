@@ -13,8 +13,8 @@ the sphere, reading the gradient and Hessian off a 9-point stencil in the
 tangent plane, one point and its stencil per call, ~4 calls per state;
 the chord search of ``conjectures.min_chord_entropy`` takes the same
 descent.  The circle scan keeps ``_refine_python``, the step-halving
-coordinate descent, which descends from rows of starting points, one per
-state, each with its own value, point and steps.  ``avg_entropy_numpy``
+descent over one angle, which descends from one starting angle per state,
+each with its own value, point and step.  ``avg_entropy_numpy``
 works through long direction arrays in fixed blocks of rows, so that the
 temporaries stay small enough to be reused from the heap instead of being
 mapped afresh.
@@ -56,10 +56,8 @@ __all__ = [
 
 P_FLOOR = 1e-14  # outcome probabilities at or below this contribute no entropy
 _LEVELS = 8  # step halvings probed per call in the descent
-# descent probe offsets along one angle (+ then -, largest first) and, per angle
-# count d, its moves: row i * len(_OFFSETS) + j moves angle i by _OFFSETS[j]
+# descent probe offsets along the angle, in steps: + then -, largest first
 _OFFSETS = np.outer((1.0, -1.0), 0.5 ** np.arange(_LEVELS)).ravel()
-_MOVES = {d: np.kron(np.eye(d), _OFFSETS[:, np.newaxis]) for d in (1, 2)}
 _SCALES = np.abs(_OFFSETS)
 _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcomes + and - along a leading axis
 # Directions per block in avg_entropy_numpy.  A block's temporaries
@@ -241,45 +239,38 @@ def avg_entropy_numpy(r, ns):
 
 
 def _refine_python(objective, start, value, step, tol):
-    """Step-halving coordinate descent over d = 1 or 2 angles, one row per state.
+    """Step-halving descent over one angle, one starting angle per state.
 
-    ``start`` is an (S, d) array with one row of starting angles per state
-    and ``value`` the S objective values there.  ``objective(rows, angles)``
+    ``start`` is an (S,) array with one starting angle per state and
+    ``value`` the S objective values there.  ``objective(rows, angles)``
     maps the indices of the states still descending and their
-    (len(rows), m, d) probe angles to (len(rows), m) values.  Each state
-    descends on its own, with a step per angle (``step`` at first): each
-    objective call probes +- s / 2**j for j < _LEVELS along every angle, s
-    being that angle's step.  A move to the best probe, if it improves,
-    sets its angle's step to the scale that improved and raises smaller
-    steps to it, so the others can follow a valley oblique to the axes;
-    else all steps shrink by 2**-_LEVELS.  A state stops once every step is
-    below ``tol`` (> 0).  Returns ``(values, points)``, shaped like
-    ``value`` and ``start``, never above the start; a state's result does
-    not depend on the other rows as long as the objective's values do not.
+    (len(rows), m) probe angles to (len(rows), m) values.  Each state
+    descends on its own, with its own step s (``step`` at first): each
+    objective call probes +- s / 2**j for j < _LEVELS.  A move to the best
+    probe, if it improves, sets the step to the scale that improved; else
+    the step shrinks by 2**-_LEVELS.  A state stops once its step is below
+    ``tol`` (> 0).  Returns ``(values, points)``, (S,) each, never above
+    the start; a state's result does not depend on the other rows as long
+    as the objective's values do not.
     """
     if not tol > 0.0:
         raise ValueError(f"refine tolerance must be positive, got {tol!r}")
-    out_point = np.array(start, dtype=np.float64, ndmin=2)
+    out_point = np.array(start, dtype=np.float64, ndmin=1)
     out_value = np.array(value, dtype=np.float64, ndmin=1)
-    moves = _MOVES[out_point.shape[1]]
     # the states still descending: their indices, points, values and steps
     rows, point, value = np.arange(len(out_point)), out_point.copy(), out_value.copy()
     steps = np.full(point.shape, float(step))
     while len(rows):
-        cand = point[:, np.newaxis] + moves * steps[:, np.newaxis]
+        cand = point[:, np.newaxis] + _OFFSETS * steps[:, np.newaxis]
         vals = objective(rows, cand)
         at = np.arange(len(rows))
         k = vals.argmin(axis=1)
         best = vals[at, k]
         moved = best < value
-        axis, j = np.divmod(k, len(_OFFSETS))
-        scale = steps[at, axis] * _SCALES[j]
-        grown = np.maximum(steps, scale[:, np.newaxis])
-        grown[at, axis] = scale
-        steps = np.where(moved[:, np.newaxis], grown, steps * 0.5**_LEVELS)
+        steps = np.where(moved, steps * _SCALES[k], steps * 0.5**_LEVELS)
         value = np.where(moved, best, value)
-        point = np.where(moved[:, np.newaxis], cand[at, k], point)
-        done = steps.max(axis=1) < tol
+        point = np.where(moved, cand[at, k], point)
+        done = steps < tol
         if done.any():
             out_value[rows[done]], out_point[rows[done]] = value[done], point[done]
             rows, point, value, steps = rows[~done], point[~done], value[~done], steps[~done]
@@ -458,11 +449,9 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     k = vals.argmin(axis=1)
 
     def objective(rows, angles):
-        return on_circle(stack[rows], angles[:, :, 0])
+        return on_circle(stack[rows], angles)
 
-    best, xi = _refine_python(
-        objective, nodes[k, np.newaxis], vals[np.arange(len(k)), k], d_xi, refine_tol
-    )
+    best, xi = _refine_python(objective, nodes[k], vals[np.arange(len(k)), k], d_xi, refine_tol)
     if r.ndim == 2:
-        return float(best[0]), float(xi[0, 0])
-    return best, xi[:, 0]
+        return float(best[0]), float(xi[0])
+    return best, xi

@@ -359,9 +359,7 @@ def _cmd_dynamics(args):
 
 
 def _cmd_conjecture_mixture(args):
-    run = _run_gap_survey(
-        samples=args.samples, seed=args.seed, grid=args.grid, threads=args.threads
-    )
+    run = _run_gap_survey(samples=args.samples, seed=args.seed, grid=args.grid)
     rows = []
     for sample in run.samples:
         n = sample.optimal_measurement.direction
@@ -458,9 +456,7 @@ def _cmd_conjecture_general_r(args):
 
 
 def _cmd_sweep_mixture(args):
-    rows = sweep_mixture(
-        args.lam, args.grid_points, oracle_grid=args.oracle_grid, threads=args.threads
-    )
+    rows = sweep_mixture(args.lam, args.grid_points, oracle_grid=args.oracle_grid)
     text = _csv_text(
         args,
         ("alpha", "beta", "I", "C", "Q"),
@@ -492,7 +488,7 @@ def _build_parser():
         "--threads",
         type=int,
         default=argparse.SUPPRESS,
-        help="worker threads (default: DISCORDLAB_THREADS or 1)",
+        help="worker threads for `conjecture general-r` (default: DISCORDLAB_THREADS or 1)",
     )
 
     parser = argparse.ArgumentParser(

@@ -40,7 +40,6 @@ from .discord import (
     _assemble,
     _core,
     _minimum,
-    _parallel_map,  # also the CLI's worker map over general-R samples
     _split,
     brute_force_min_entropy,
     post_measurement_ensemble,
@@ -52,7 +51,6 @@ from .qstate import (
     _density_matrix,
     _lowest_eigenvalue,
     binary_entropy,
-    pauli_expansion,
     reconstruct_state,
 )
 from .steering import SteeringEllipsoid
@@ -242,7 +240,7 @@ def sample_mixture_params(count, seed):
     return out
 
 
-def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, refine_tol=1e-9):
+def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, refine_tol=1e-9):
     """Monte-Carlo scan of the |OE| = |OF| conjecture over the mixture family.
 
     Draws ``samples`` parameter sets, runs the unconstrained oracle on
@@ -262,14 +260,14 @@ def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, threads=1, re
     gap comes from the oracle's outcome map (``_kernels._outcomes``) at the
     optimum: an outcome with p <= P_FLOOR has no Bloch vector, so its
     sample's gap is 0 (the ensemble is one point).  No state is built, and
-    a sample's row is bitwise the same whatever the thread count.
+    the whole survey runs on the calling thread.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples!r}")
     drawn = sample_mixture_params(samples, seed)
     params = np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T
     r = _mixture_circle_r(*params)
-    values, ns, _ = _minimum(r, _density_matrix(r), "auto", grid, threads, refine_tol)
+    values, ns, _ = _minimum(r, _density_matrix(r), "auto", grid, refine_tol)
     prob, norm = _outcomes(r, ((1, ns[:, :1]), (3, ns[:, 2:])))
     gaps = np.where((prob > P_FLOOR).all(axis=0), np.abs(norm[0] - norm[1]), 0.0)[:, 0]
     results = tuple(
@@ -385,17 +383,16 @@ def _mixture_circle_r(lam, alpha, beta):
     return r
 
 
-def _mixture_stack(lam, alpha, beta, grid, threads=1, refine_tol=1e-6):
+def _mixture_stack(lam, alpha, beta, grid, refine_tol=1e-6):
     """One stacked pass over the mixture states of the parameter arrays.
 
     R comes in closed form (``_mixture_circle_r``) and goes to the
     correlation core in one call, which gives I, S(rho_A) and the exact
     minimum: X rows by their closed forms, the others by the x-z circle in
-    chunks over ``threads`` workers.  No state is built, and every entry is
-    bitwise the same whatever the threads.
+    chunks.  No state is built.
     """
     r = _mixture_circle_r(lam, alpha, beta)
-    info, s_a, values, ns, _ = _core(r, "auto", grid, threads, refine_tol)
+    info, s_a, values, ns, _ = _core(r, "auto", grid, refine_tol)
     return _MixtureStack(lam, alpha, beta, r, values, ns, info, s_a)
 
 
@@ -446,7 +443,7 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     return _conjecture_reports(_mixture_stack(*params, grid))[0]
 
 
-def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
+def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID):
     """Correlations on a (alpha, beta) grid at fixed mixing weight.
 
     Returns rows (alpha, beta, I, C, Q) in row-major alpha-then-beta
@@ -459,14 +456,12 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
     two halves agreeing is a cross-check, not a construction.
     ``oracle_grid`` is read for its polar count only.
 
-    All cells make one stacked pass (``_mixture_stack``): closed-form R and
-    one correlation-core call, whose circle chunks go over ``threads``
-    workers; it gives I, S(rho_A), the mirror cells' minimum and the guard
-    of the others.  The constrained cells then go to
-    ``_conjecture_reports`` as one stack, whose maximiser is one stacked
-    ``eigvals`` call with no per-cell loop.  Rows do not depend on
-    ``threads``.  Raises ValueError if ``lam`` lies outside [0, 1] or
-    ``grid_points`` is below 2.
+    All cells make one stacked pass (``_mixture_stack``) on the calling
+    thread: closed-form R and one correlation-core call, which gives I,
+    S(rho_A), the mirror cells' minimum and the guard of the others.  The
+    constrained cells then go to ``_conjecture_reports`` as one stack, whose
+    maximiser is one stacked ``eigvals`` call with no per-cell loop.  Raises
+    ValueError if ``lam`` lies outside [0, 1] or ``grid_points`` is below 2.
     """
     MixtureParams(lam=lam, alpha=0.0, beta=0.0)  # the range check on lam
     if grid_points < 2:
@@ -485,7 +480,6 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID, threads=1):
         alpha,
         np.where(constrained, np.minimum(beta, np.pi / 2), beta),
         oracle_grid,
-        threads,
     )
     reports = _conjecture_reports(_MixtureStack(*(field[constrained] for field in stack)))
     columns = np.stack((stack.info, *_split(stack.info, stack.s_a, stack.oracle_value)), axis=-1)
@@ -561,27 +555,37 @@ def sample_general_r_params(count, seed):
     return [_first_valid_template(np.random.default_rng(child)) for child in children]
 
 
+def _parallel_map(fn, items, threads):
+    """``[fn(item) for item in items]``, over ``threads`` worker threads when
+    above 1; the CLI's map over general-R samples, whole samples being the
+    units of work."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _first_valid_template(rng):
     """The first valid template draw of ``rng``, in draw order.
 
     Draws come in blocks of ``_DRAW_BLOCK`` rows of seven, the numbers that
     one draw of seven at a time would give.  Rows with near-zero s1 or t13
-    are dropped and the rest checked for positivity on the raw matrices by
-    one stacked ``eigvalsh``, bitwise the single check; only the surviving
-    rows, in order, build a TwoQubitState, until one has a nonsingular R.
+    are dropped, and the first of the rest whose template R passes both
+    stacked checks is taken: positivity by one ``eigvalsh`` of the density
+    matrices, bitwise the single check, and |det R| > 1e-10.  No state is
+    built: R_00 = 1 fixes the trace and the template is Hermitian by
+    construction.
     """
     for start in range(0, _MAX_TRIES, _DRAW_BLOCK):
         draws = rng.uniform(-1.0, 1.0, size=(min(_DRAW_BLOCK, _MAX_TRIES - start), 7))
         draws = draws[(np.abs(draws[:, 2]) >= 1e-3) & (np.abs(draws[:, 4]) >= 1e-3)]
-        rho = _density_matrix(_template_entries(_TemplateDraws(*draws.T)))
-        for row in draws[~(_lowest_eigenvalue(rho) < EIGENVALUE_FLOOR)]:
-            params = GeneralRParams(*row)
-            try:
-                state = make_general_r_state(params)
-            except ValueError:
-                continue
-            if abs(pauli_expansion(state).det) > 1e-10:
-                return params
+        r = _template_entries(_TemplateDraws(*draws.T))
+        positive = ~(_lowest_eigenvalue(_density_matrix(r)) < EIGENVALUE_FLOOR)
+        valid = np.flatnonzero(positive & (np.abs(np.linalg.det(r)) > 1e-10))
+        if len(valid):
+            return GeneralRParams(*draws[valid[0]])
     raise RuntimeError(f"no valid template state found in {_MAX_TRIES} draws")
 
 

@@ -27,7 +27,6 @@ else goes through a hemisphere grid search with coordinate descent
 refinement (the oracle in ``brute_force_min_entropy``).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +74,10 @@ TIE_TOL = 1e-12  # |S_GH - S_EF| ties are reported as quasi_eigen
 # value out of range by less is pulled back in, by more is a fault
 _SLACK = 1e-9
 CIRCLE_TOL = 1e-12  # max |R[:, 2]| at or below this: Bob's y axis does not enter
-# rows per stacked circle-scan call.  A chunk's scan temporaries, (2, 16, 360)
-# doubles each, keep a 1k-sample survey's peak RSS at the one-state loop's;
-# 24 states add ~0.6 MB, 32 ~1.4 MB and 128 ~6 MB, for 10-20% less CPU per
-# state at 24 or 32
+# rows per stacked circle-scan call, run one after the other.  A chunk's scan
+# temporaries, (2, 16, 360) doubles each, keep a 1k-sample survey's peak RSS
+# at the one-state loop's; 24 states add ~0.6 MB, 32 ~1.4 MB and 128 ~6 MB,
+# for 10-20% less CPU per state at 24 or 32
 _CIRCLE_CHUNK = 16
 
 BRANCH_QUASI_EIGEN = "quasi_eigen"
@@ -326,14 +325,7 @@ def _split(info, s_a, values):
     return classical, info - classical
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _circle_minimum(r, n_polar, refine_tol=1e-6, threads=1):
+def _circle_minimum(r, n_polar, refine_tol=1e-6):
     """Exact ``(values, directions)`` minima of an (N, 4, 4) stack of R whose
     column 2 vanishes; directions (sin xi, 0, cos xi), (N, 3).
 
@@ -343,15 +335,14 @@ def _circle_minimum(r, n_polar, refine_tol=1e-6, threads=1):
     cannot beat the sharp one: the minimum over the sphere lies on the x-z
     great circle.  ``min_entropy_circle_scan`` visits the hemisphere grid's
     nodes on that circle, so only ``n_polar`` sets its resolution.  Rows go
-    to it in chunks of ``_CIRCLE_CHUNK``, mapped over ``threads`` workers;
-    the scan sums each row's values element by element, so a row's result
-    is bitwise the same whatever the chunking or the thread count.  The
-    caller checks the column.
+    to it in chunks of ``_CIRCLE_CHUNK``, one after the other; the scan
+    sums each row's values element by element, so a row's result is
+    bitwise the same whatever the chunking.  The caller checks the column.
     """
-    chunks = [r[i : i + _CIRCLE_CHUNK] for i in range(0, len(r), _CIRCLE_CHUNK)]
-    done = _parallel_map(
-        lambda chunk: min_entropy_circle_scan(chunk, n_polar, refine_tol), chunks, threads
-    )
+    done = [
+        min_entropy_circle_scan(r[i : i + _CIRCLE_CHUNK], n_polar, refine_tol)
+        for i in range(0, len(r), _CIRCLE_CHUNK)
+    ]
     value = np.concatenate([v for v, _ in done])
     xi = np.concatenate([x for _, x in done])
     # n and -n give the same value bitwise: flip to n3 >= 0, as on the
@@ -362,7 +353,7 @@ def _circle_minimum(r, n_polar, refine_tol=1e-6, threads=1):
     return value, np.stack((n1, np.zeros_like(n1), n3), axis=-1)
 
 
-def _minimum(r, rho, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
+def _minimum(r, rho, method="auto", grid=DEFAULT_GRID, refine_tol=1e-6):
     """``(values, directions, branches)`` of an (N, 4, 4) stack of R and its
     density matrices ``rho``: the minimal average entropy, its direction and
     how it was found.
@@ -371,13 +362,13 @@ def _minimum(r, rho, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-
 
     * X rows (the test of ``extract_x_params`` on ``rho``) to the closed forms;
     * other rows whose column 2 vanishes within ``CIRCLE_TOL`` to the
-      exact x-z circle (``_circle_minimum``, chunks over ``threads``);
+      exact x-z circle (``_circle_minimum``, in chunks);
     * the rest one by one to the 2-D oracle on ``grid``.
 
     ``method`` numeric sends every row to the 2-D oracle, and analytic
     raises UnsupportedStructureError unless every row is X.  Both oracles
     refine to ``refine_tol`` radians and label their rows numeric.  A row's
-    results do not depend on the rest of the stack or on ``threads``.
+    results do not depend on the rest of the stack.
     """
     off_x = np.abs(rho[:, _OFF_X[0], _OFF_X[1]]).max(axis=1)
     exact = method != "numeric"
@@ -392,21 +383,19 @@ def _minimum(r, rho, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-
     if x.any():
         values[x], directions[x], branches[x] = _x_minimum(r[x])
     if circle.any():
-        values[circle], directions[circle] = _circle_minimum(
-            r[circle], grid[0], refine_tol, threads
-        )
+        values[circle], directions[circle] = _circle_minimum(r[circle], grid[0], refine_tol)
     for k in np.flatnonzero(~(x | circle)):
         values[k], measurement = brute_force_min_entropy(r[k], grid, refine_tol)
         directions[k] = measurement.direction
     return values, directions, branches
 
 
-def _core(r, method="auto", grid=DEFAULT_GRID, threads=1, refine_tol=1e-6):
+def _core(r, method="auto", grid=DEFAULT_GRID, refine_tol=1e-6):
     """``(info, s_a, values, directions, branches)`` of an (N, 4, 4) stack of R:
     ``_entropies`` and ``_minimum`` (arguments as there) on one stack of
     density matrices."""
     rho = _density_matrix(r)
-    return (*_entropies(r, rho), *_minimum(r, rho, method, grid, threads, refine_tol))
+    return (*_entropies(r, rho), *_minimum(r, rho, method, grid, refine_tol))
 
 
 def _assemble(r, info, s_a, values, directions, branches):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _entropy_of_norms
+
 __all__ = [
     "InvalidStateError",
     "TwoQubitState",
@@ -65,18 +67,11 @@ _OFF_X = ((0, 0, 1, 2, 1, 3, 2, 3), (1, 2, 0, 0, 3, 1, 3, 2))  # entries an X st
 def binary_entropy(x):
     """Entropy in bits of a qubit whose Bloch vector has norm ``x``.
 
-    h(x) = -((1+x)/2) log2((1+x)/2) - ((1-x)/2) log2((1-x)/2).
-    Values outside [0, 1] are clamped, so rounding overshoot is harmless.
+    h(x) = -((1+x)/2) log2((1+x)/2) - ((1-x)/2) log2((1-x)/2), by the
+    scan kernels' own formula (``_kernels._entropy_of_norms``).  Values
+    outside [0, 1] are clamped, so rounding overshoot is harmless.
     """
-    x = abs(float(x))
-    if x >= 1.0:
-        return 0.0
-    p = 0.5 * (1.0 + x)
-    q = 1.0 - p
-    s = -p * np.log2(p)
-    if q > 0.0:
-        s -= q * np.log2(q)
-    return float(s)
+    return float(_entropy_of_norms(min(abs(float(x)), 1.0)))
 
 
 def _lowest_eigenvalue(m):

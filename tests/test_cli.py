@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -528,6 +529,29 @@ def test_sweep_mixture_csv(capsys):
     assert len(lines) == 5 + 16
     betas = {float(line.split(",")[1]) for line in lines[5:]}
     assert max(betas) == pytest.approx(np.pi)  # full beta range by default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "mixture", "--lambda", "0.3", "--grid-points", "6"],
+        ["conjecture", "mixture", "--samples", "20", "--seed", "5"],
+    ],
+    ids=["sweep", "survey"],
+)
+def test_stacked_commands_start_no_thread(capsys, monkeypatch, argv):
+    # the sweep and the gap survey run their stacks on the calling thread,
+    # whatever --threads says
+    code, serial, _ = run(capsys, argv + ["--threads", "1"])
+    assert code == 0
+
+    def refuse(_thread):
+        raise RuntimeError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, threaded, _ = run(capsys, argv + ["--threads", "2"])
+    assert code == 0
+    assert serial.replace("--threads 1", "--threads 2") == threaded
 
 
 def test_sweep_mixture_threads_do_not_change_output(capsys):

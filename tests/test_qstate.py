@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import ginibre_state, random_x_params
@@ -37,6 +39,11 @@ def test_binary_entropy_sign_and_clamping():
     assert binary_entropy(-0.3) == binary_entropy(0.3)
     # rounding overshoot beyond the unit ball is clamped, not an error
     assert binary_entropy(1.0 + 1e-12) == 0.0
+
+
+def test_binary_entropy_is_never_negative_zero():
+    # at the last double below 1, -p log2(p) - q log2(q) rounds to -0.0
+    assert math.copysign(1.0, binary_entropy(1 - 2**-53)) == 1.0
 
 
 def test_two_qubit_state_validation():

@@ -3,9 +3,10 @@
 ``perfbench/spans.py`` replaces the layers' functions with span-recording
 wrappers.  A renamed or bypassed function would leave its span empty and
 only show up as missing per-layer metrics, so this test runs a traced
-``compute``, ``conjecture mixture`` and ``dynamics`` and checks that the
-kernel spans were recorded, and that the trajectory and its critical
-time were.
+``compute``, ``conjecture mixture``, ``dynamics`` and a two-thread
+``conjecture general-r`` (the one caller of the wrapped worker map) and
+checks that the kernel spans were recorded, and that the trajectory and
+its critical time were.
 """
 
 import json
@@ -35,6 +36,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         cli.parse_and_dispatch(["conjecture", "mixture", "--samples", "3", "--seed", "1"]),
         cli.parse_and_dispatch(["dynamics", "--state", xspec, "--rate", "1", "--t-max", "1",
                                 "--steps", "3"]),
+        cli.parse_and_dispatch(["conjecture", "general-r", "--samples", "2", "--seed", "5",
+                                "--threads", "2"]),
     ]
 print(json.dumps({"codes": codes, "spans": sorted(set(tracer.names))}))
 """
@@ -49,7 +52,7 @@ def test_benchmark_spans_reach_the_kernels():
         cwd=ROOT,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     expected = {
         "kernels.oracle",
         "kernels.grid_build",
