@@ -82,14 +82,22 @@ def _parse_grid(text):
     return grid
 
 
-def _grid_points(text):
-    try:
-        points = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 points per axis, got {points}")
-    return points
+def _checked(convert, valid, rule):
+    """An argparse type: ``convert(text)``, an error stating ``rule`` unless ``valid``."""
+
+    def parse(text):
+        value = convert(text)  # a ValueError reads "invalid <convert's name> value"
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_grid_points = _checked(int, lambda points: points >= 2, "need at least 2 points per axis")
+_sample_count = _checked(int, lambda count: count >= 1, "need at least 1 sample")
+_tolerance = _checked(float, lambda tol: 0.0 <= tol < np.inf, "need a finite tolerance >= 0")
 
 
 def _is_number(value):
@@ -331,7 +339,7 @@ def _cmd_ellipsoid(args):
 
 def _cmd_dynamics(args):
     state = load_state(args.state)
-    trajectory = evolve_trajectory(
+    traj = evolve_trajectory(
         state,
         rate=args.rate,
         t_max=args.t_max,
@@ -339,14 +347,10 @@ def _cmd_dynamics(args):
         channel=args.channel,
         grid=args.grid,
     )
-    t_bar = trajectory.critical_time
+    t_bar = traj.critical_time
     t_bar_text = "none" if t_bar is None else repr(float(t_bar))
-    rows = [
-        (t, gamma, report.mutual_info, report.classical, report.discord, report.branch, *axes)
-        for t, gamma, report, axes in zip(
-            trajectory.times, trajectory.gammas, trajectory.reports, trajectory.semi_axes
-        )
-    ]
+    columns = (traj.times, traj.gammas, traj.mutual_info, traj.classical, traj.discord)
+    rows = [(*row, *axes) for *row, axes in zip(*columns, traj.branches, traj.semi_axes)]
     text = _csv_text(
         args,
         ("t", "gamma", "I", "C", "Q", "branch", "l1", "l2", "l3"),
@@ -538,7 +542,7 @@ def _build_parser():
     # the mixture family's oracle scans the x-z circle, which has no azimuth
     polar_only = "only the polar count is read: it sets the x-z circle scan's nodes"
     mixture = conj_sub.add_parser("mixture", parents=[shared])
-    mixture.add_argument("--samples", type=int, required=True)
+    mixture.add_argument("--samples", type=_sample_count, required=True)
     mixture.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID, help=polar_only)
     mixture.add_argument(
         "--fail-above",
@@ -549,10 +553,10 @@ def _build_parser():
     mixture.add_argument("--out", default=None)
 
     general_r = conj_sub.add_parser("general-r", parents=[shared])
-    general_r.add_argument("--samples", type=int, required=True)
+    general_r.add_argument("--samples", type=_sample_count, required=True)
     general_r.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID)
-    general_r.add_argument("--chord-tol", type=float, default=1e-6)
-    general_r.add_argument("--gap-tol", type=float, default=1e-6)
+    general_r.add_argument("--chord-tol", type=_tolerance, default=1e-6)
+    general_r.add_argument("--gap-tol", type=_tolerance, default=1e-6)
     general_r.add_argument("--out", default=None)
 
     sweep = sub.add_parser(name="sweep", help="correlation surfaces on angle grids")

@@ -16,7 +16,7 @@ Two families probe the geometry beyond X states:
   by the vertical apex pair (Class II).
 
 Monte-Carlo drivers sample both families reproducibly (one RNG stream
-spawned per sample index, so parallel runs give identical output).
+spawned per sample index, so a short run is a prefix of a long one).
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,7 @@ from .discord import (
     DEFAULT_GRID,
     ProjectiveMeasurement,
     _assemble,
+    _check_rows,
     _core,
     _minimum,
     _split,
@@ -354,20 +355,6 @@ def _constrained_optimum(r):
     return values, xis
 
 
-class _MixtureStack(NamedTuple):
-    """Mixture states as arrays, one entry per state: parameters, closed-form
-    R, the core's exact minimum and direction, I and S(rho_A)."""
-
-    lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    r: np.ndarray
-    oracle_value: np.ndarray
-    oracle_n: np.ndarray
-    info: np.ndarray
-    s_a: np.ndarray
-
-
 def _mixture_circle_r(lam, alpha, beta):
     """``_mixture_r``, checked to ignore the measured qubit's y axis.
 
@@ -383,48 +370,28 @@ def _mixture_circle_r(lam, alpha, beta):
     return r
 
 
-def _mixture_stack(lam, alpha, beta, grid, refine_tol=1e-6):
-    """One stacked pass over the mixture states of the parameter arrays.
-
-    R comes in closed form (``_mixture_circle_r``) and goes to the
-    correlation core in one call, which gives I, S(rho_A) and the exact
-    minimum: X rows by their closed forms, the others by the x-z circle in
-    chunks.  No state is built.
-    """
-    r = _mixture_circle_r(lam, alpha, beta)
-    info, s_a, values, ns, _ = _core(r, "auto", grid, refine_tol)
-    return _MixtureStack(lam, alpha, beta, r, values, ns, info, s_a)
-
-
-def _conjecture_reports(stack):
-    """Correlation reports of a ``_MixtureStack``'s states, assuming the conjecture.
-
-    The constrained maximiser runs on the whole stack and gives each state's
-    least equi-norm average entropy h(|y+-|); C = S(rho^A) less that.
-    Where the constraint is vacuous (every measurement equi-norm, as on
-    product states) the constrained optimum is the circle's minimum, so the
-    stack's oracle value and direction are taken, exact by definition.  The
-    oracle values are also the guard: a disagreement beyond 1e-4 bits raises
-    :class:`ConjectureViolationError` with the counterexample attached.
-    """
-    values, xis = _constrained_optimum(stack.r)
-    flat = np.isnan(values)
-    values = np.where(flat, stack.oracle_value, values)
-    off = np.flatnonzero(np.abs(values - stack.oracle_value) > 1e-4)
+def _conjecture_minimum(params, r, oracle, oracle_n):
+    """``_constrained_optimum``'s ``(values, xis)`` on the R of an (N, 3) array of
+    (lam, alpha, beta), guarded by the core's exact minima ``oracle`` along
+    ``oracle_n``: a disagreement beyond 1e-4 bits raises
+    :class:`ConjectureViolationError` with the counterexample attached.  Where
+    the constraint is vacuous (every measurement equi-norm, as on product
+    states) the oracle's value is taken, exact by definition; xi is NaN."""
+    values, xis = _constrained_optimum(r)
+    values = np.where(np.isnan(values), oracle, values)
+    off = np.flatnonzero(np.abs(values - oracle) > 1e-4)
     if len(off):
         k = off[0]
-        p = MixtureParams(lam=stack.lam[k], alpha=stack.alpha[k], beta=stack.beta[k])
+        p = MixtureParams(*params[k])
         raise ConjectureViolationError(
-            f"constrained optimum {values[k]:.9g} vs oracle {stack.oracle_value[k]:.9g} "
+            f"constrained optimum {values[k]:.9g} vs oracle {oracle[k]:.9g} "
             f"at lam={p.lam:.9g} alpha={p.alpha:.9g} beta={p.beta:.9g}",
             params=p,
             constrained=float(values[k]),
-            unconstrained=float(stack.oracle_value[k]),
-            measurement=ProjectiveMeasurement(stack.oracle_n[k]),
+            unconstrained=float(oracle[k]),
+            measurement=ProjectiveMeasurement(oracle_n[k]),
         )
-    n = np.stack((np.sin(xis), np.zeros_like(xis), np.cos(xis)), axis=-1)
-    n = np.where(flat[:, np.newaxis], stack.oracle_n, n)
-    return _assemble(stack.r, stack.info, stack.s_a, values, n, [BRANCH_EQUI_ENTROPY] * len(n))
+    return values, xis
 
 
 def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
@@ -433,14 +400,19 @@ def mixture_correlations_via_conjecture(p, grid=DEFAULT_GRID):
     Maximizes |y+| under |y+| = |y-|, in closed form: the equi-norm
     measurements are the real roots of a cubic (``_constrained_optimum``),
     and C = S(rho^A) - h(|y+|*).  The correlation core's exact minimum,
-    which does not assume the conjecture, is computed alongside as a guard:
-    disagreement beyond 1e-4 bits raises :class:`ConjectureViolationError`
-    with the counterexample attached.  ``grid`` is read for its polar
-    count only.  This is the one-state call of the sweep's stacked pass
-    (``_mixture_stack`` and ``_conjecture_reports``).
+    which does not assume the conjecture, is computed alongside as a guard
+    (``_conjecture_minimum``): disagreement beyond 1e-4 bits raises
+    :class:`ConjectureViolationError` with the counterexample attached.
+    ``grid`` is read for its polar count only.  This is the one-state call
+    of the sweep's stacked pass, and the only one that builds a report.
     """
-    params = (np.array([v], dtype=np.float64) for v in (p.lam, p.alpha, p.beta))
-    return _conjecture_reports(_mixture_stack(*params, grid))[0]
+    params = np.array([[p.lam, p.alpha, p.beta]], dtype=np.float64)
+    r = _mixture_circle_r(*params.T)
+    info, s_a, oracle, oracle_n, _ = _core(r, "auto", grid)
+    values, xis = _conjecture_minimum(params, r, oracle, oracle_n)
+    n = np.stack((np.sin(xis), np.zeros_like(xis), np.cos(xis)), axis=-1)
+    n = np.where(np.isnan(xis)[:, np.newaxis], oracle_n, n)
+    return _assemble(r, info, s_a, values, n, [BRANCH_EQUI_ENTROPY])[0]
 
 
 def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID):
@@ -456,12 +428,12 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID):
     two halves agreeing is a cross-check, not a construction.
     ``oracle_grid`` is read for its polar count only.
 
-    All cells make one stacked pass (``_mixture_stack``) on the calling
-    thread: closed-form R and one correlation-core call, which gives I,
-    S(rho_A), the mirror cells' minimum and the guard of the others.  The
-    constrained cells then go to ``_conjecture_reports`` as one stack, whose
-    maximiser is one stacked ``eigvals`` call with no per-cell loop.  Raises
-    ValueError if ``lam`` lies outside [0, 1] or ``grid_points`` is below 2.
+    All cells make one stacked pass on the calling thread and build no
+    objects: closed-form R and one correlation-core call give I, S(rho_A),
+    the mirror cells' minimum and the guard of the constrained cells, whose
+    minima come from one ``_conjecture_minimum`` call; one ``_split`` and
+    one ``_check_rows`` then cover every cell.  Raises ValueError if ``lam``
+    lies outside [0, 1] or ``grid_points`` is below 2.
     """
     MixtureParams(lam=lam, alpha=0.0, beta=0.0)  # the range check on lam
     if grid_points < 2:
@@ -475,15 +447,16 @@ def sweep_mixture(lam, grid_points, oracle_grid=DEFAULT_GRID):
         )
     )
     constrained = beta <= np.pi / 2 + 1e-12
-    stack = _mixture_stack(
-        np.full(alpha.shape, lam, dtype=np.float64),
-        alpha,
-        np.where(constrained, np.minimum(beta, np.pi / 2), beta),
-        oracle_grid,
+    folded = np.where(constrained, np.minimum(beta, np.pi / 2), beta)
+    params = np.stack((np.full_like(alpha, lam), alpha, folded), axis=-1)
+    r = _mixture_circle_r(*params.T)
+    info, s_a, values, ns, branches = _core(r, "auto", oracle_grid)
+    values[constrained], _ = _conjecture_minimum(
+        params[constrained], r[constrained], values[constrained], ns[constrained]
     )
-    reports = _conjecture_reports(_MixtureStack(*(field[constrained] for field in stack)))
-    columns = np.stack((stack.info, *_split(stack.info, stack.s_a, stack.oracle_value)), axis=-1)
-    columns[constrained] = [(rep.mutual_info, rep.classical, rep.discord) for rep in reports]
+    classical, discord = _split(info, s_a, values)
+    _check_rows(info, classical, discord, branches)
+    columns = np.stack((info, classical, discord), axis=-1)
     return [(a, b, *row) for a, b, row in zip(alpha.tolist(), beta.tolist(), columns.tolist())]
 
 

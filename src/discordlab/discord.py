@@ -11,7 +11,7 @@ Bloch vector, r_A Alice's and T the 3x3 correlation block of R.  The
 classical correlation is C = S(rho^A) - min over n of the average entropy
 sum_k p_k h(|y_k|), and the discord is Q = I - C.
 
-Every report comes from one stacked core on R (``_core``, ``_assemble``),
+Every correlation comes from one stacked core on R (``_core``, as arrays),
 the only place that picks how a state's minimum is found.  For X-shaped
 states the minimum is one of two closed-form candidates:
 
@@ -23,8 +23,8 @@ states the minimum is one of two closed-form candidates:
 Any other state whose R ignores Bob's y axis (column 2 vanishes, as for
 the mixture family and product states) has its exact minimum on the x-z
 great circle, a one-dimensional scan (``_circle_minimum``).  Everything
-else goes through a hemisphere grid search with coordinate descent
-refinement (the oracle in ``brute_force_min_entropy``).
+else goes through a hemisphere grid search refined by Newton steps on
+the sphere (the oracle in ``brute_force_min_entropy``).
 """
 
 from dataclasses import dataclass
@@ -83,6 +83,7 @@ _CIRCLE_CHUNK = 16
 BRANCH_QUASI_EIGEN = "quasi_eigen"
 BRANCH_EQUI_ENTROPY = "equi_entropy"
 BRANCH_NUMERIC = "numeric"
+_BRANCHES = (BRANCH_QUASI_EIGEN, BRANCH_EQUI_ENTROPY, BRANCH_NUMERIC)
 
 
 class UnsupportedStructureError(ValueError):
@@ -158,14 +159,25 @@ class CorrelationReport:
     branch: str
 
     def __post_init__(self):
-        if self.branch not in (BRANCH_QUASI_EIGEN, BRANCH_EQUI_ENTROPY, BRANCH_NUMERIC):
-            raise InternalInvariantError(f"unknown branch label {self.branch!r}")
-        if abs(self.mutual_info - self.classical - self.discord) > _SLACK:
-            raise InternalInvariantError("I = C + Q violated beyond 1e-9")
-        if self.classical < -_SLACK or self.discord < -_SLACK:
-            raise InternalInvariantError(
-                f"negative correlation: C = {self.classical!r}, Q = {self.discord!r}"
-            )
+        _check_rows(self.mutual_info, self.classical, self.discord, (self.branch,))
+
+
+def _check_rows(info, classical, discord, branches):
+    """Raise InternalInvariantError unless each row of I, C, Q (arrays or scalars)
+    and its branch label hold, in this order: a known label, I = C + Q within
+    ``_SLACK``, C and Q >= -``_SLACK``.  The first row that breaks one is named."""
+    unknown = [branch for branch in branches if branch not in _BRANCHES]
+    if unknown:
+        raise InternalInvariantError(f"unknown branch label {unknown[0]!r}")
+    info, classical, discord = np.atleast_1d(info, classical, discord)
+    if (np.abs(info - classical - discord) > _SLACK).any():
+        raise InternalInvariantError("I = C + Q violated beyond 1e-9")
+    negative = np.flatnonzero((classical < -_SLACK) | (discord < -_SLACK))
+    if len(negative):
+        k = negative[0]
+        raise InternalInvariantError(
+            f"negative correlation: C = {float(classical[k])!r}, Q = {float(discord[k])!r}"
+        )
 
 
 def _entries(r):
@@ -317,7 +329,7 @@ def _split(info, s_a, values):
     0 <= C <= I holds exactly, so a C out of that range by at most
     ``_SLACK`` is round-off and is pulled back in (to +0.0 or to I),
     keeping Q >= 0 and I = C + Q; one farther out is left for
-    ``CorrelationReport`` to reject.
+    ``_check_rows`` to reject.
     """
     classical = s_a - values
     classical = np.where((classical <= 0.0) & (classical >= -_SLACK), 0.0, classical)

@@ -24,8 +24,9 @@ import numpy as np
 from .discord import (
     DEFAULT_GRID,
     TIE_TOL,
-    _assemble,
+    _check_rows,
     _core,
+    _split,
     _x_candidates,
 )
 from .qstate import (
@@ -82,7 +83,8 @@ class PhaseDampingChannel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Correlation reports along a strictly increasing time grid.
+    """I, C, Q (read-only arrays) and branch labels along a strictly increasing
+    time grid, each step checked as ``CorrelationReport`` checks its row.
 
     ``semi_axes`` holds, per step, the steering ellipsoid's semi-axes in
     descending order, as :func:`steering.steering_ellipsoid` gives them.
@@ -93,18 +95,22 @@ class Trajectory:
 
     times: np.ndarray
     gammas: np.ndarray
-    reports: tuple
+    mutual_info: np.ndarray
+    classical: np.ndarray
+    discord: np.ndarray
+    branches: tuple
     semi_axes: np.ndarray
     critical_time: object
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("time points must be strictly increasing")
-        for name in ("times", "gammas", "semi_axes"):
+        for name in ("times", "gammas", "mutual_info", "classical", "discord", "semi_axes"):
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "reports", tuple(self.reports))
+        object.__setattr__(self, "branches", tuple(self.branches))
+        _check_rows(self.mutual_info, self.classical, self.discord, self.branches)
 
 
 def _transfer(name, strength):
@@ -226,8 +232,8 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", grid=DE
     Each step's transfer matrix Lambda, at the accumulated strength for
     gamma(t) = exp(-rate * t), gives R(t) = Lambda R0 Lambda^T, and all
     steps go through one call of the stacked core, which also checks
-    positivity and routes each row as for any stack of R.  The critical
-    time is attached for phase damping on X states.
+    positivity and routes each row as for any stack of R; no report is
+    built.  The critical time is attached for phase damping on X states.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 time steps, got {steps!r}")
@@ -245,7 +251,8 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", grid=DE
     lam = np.stack([_transfer(channel, strength) for strength in strengths])
     _check_blocks(lam)
     r = lam @ (pauli_expansion(rho0).entries @ lam.transpose(0, 2, 1))
-    reports = _assemble(r, *_core(r, "auto", grid))
+    info, s_a, values, _, branches = _core(r, "auto", grid)
+    classical, discord = _split(info, s_a, values)
 
     t_bar = None
     params = extract_x_params(rho0)
@@ -254,7 +261,10 @@ def evolve_trajectory(rho0, rate, t_max, steps, channel="phase_damping", grid=DE
     return Trajectory(
         times=times,
         gammas=gammas,
-        reports=reports,
+        mutual_info=info,
+        classical=classical,
+        discord=discord,
+        branches=branches,
         semi_axes=_factor_svd(r)[1],
         critical_time=t_bar,
     )

@@ -170,11 +170,7 @@ def test_sudden_transition_trajectory():
     assert t_bar == pytest.approx(np.log(4.0) / 2.0, abs=1e-6)
     assert t_bar == pytest.approx(crossing, abs=1e-6)
 
-    after = [
-        report.classical
-        for t, report in zip(trajectory.times, trajectory.reports)
-        if t > t_bar
-    ]
+    after = [c for t, c in zip(trajectory.times, trajectory.classical) if t > t_bar]
     assert len(after) >= 10
     spread = max(after) - min(after)
     assert spread <= 1e-8
@@ -183,7 +179,7 @@ def test_sudden_transition_trajectory():
         make_bell_diagonal(QUASI_START), rate=1.0, t_max=1.5, steps=31
     )
     assert quasi.critical_time is None
-    classical = [report.classical for report in quasi.reports]
+    classical = quasi.classical.tolist()
     quasi_spread = max(classical) - min(classical)
     assert quasi_spread <= 1e-8
     print(

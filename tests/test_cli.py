@@ -104,6 +104,21 @@ def test_exit_two_on_flag_errors(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert "--grid-points" in err and "at least 2" in err
+    # a sample count below 1 is a flag error for both families: general-r
+    # used to raise OverflowError for -3 and write a header-only CSV for 0
+    for family in ("mixture", "general-r"):
+        for count in ("0", "-3"):
+            argv = ["conjecture", family, "--samples", count, "--seed", "1"]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert "--samples" in err and "at least 1" in err
+    # a NaN tolerance used to label every sample Class II
+    for flag in ("--chord-tol", "--gap-tol"):
+        for tol in ("nan", "inf", "-1e-6"):
+            argv = ["conjecture", "general-r", "--samples", "1", "--seed", "1", f"{flag}={tol}"]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert flag in err and "finite tolerance" in err
 
 
 def test_exit_two_on_threads_below_one(capsys, monkeypatch):
@@ -591,17 +606,42 @@ def test_exit_five_on_broken_ensemble_invariant(capsys, monkeypatch):
         discord.EnsembleMember(0.5, np.array([0.0, 0.0, 1.5]))
 
 
-def test_exit_five_on_unknown_branch(capsys, monkeypatch):
-    # a branch label the library never makes is a fault, not a flag error
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--state", X_SPEC],
+        ["dynamics", "--state", X_SPEC, "--rate", "1", "--t-max", "1", "--steps", "3"],
+    ],
+    ids=["compute", "dynamics"],
+)
+def test_exit_five_on_unknown_branch(capsys, monkeypatch, argv):
+    # a branch label the library never makes is a fault, not a flag error,
+    # whether a report or a trajectory's arrays carry it
     monkeypatch.setattr(
         discord,
         "_x_minimum",
         lambda r: (np.full(len(r), 0.5), np.tile([0.0, 0.0, 1.0], (len(r), 1)), ["mystery"]),
     )
-    code, out, err = run(capsys, ["compute", "--state", X_SPEC])
+    code, out, err = run(capsys, argv)
     assert code == 5
     assert out == ""
     assert err.startswith("internal error: ") and "unknown branch" in err
+
+
+def test_exit_five_on_negative_correlation_in_sweep_mirror_half(capsys, monkeypatch):
+    # the mirror cells (beta > pi/2) take the core's minimum directly; one
+    # 0.5 bits too high there gives C < 0, which must fail as a report would
+    core = conjectures._core
+
+    def raised(r, *args):
+        info, s_a, values, ns, branches = core(r, *args)
+        mirror = np.arange(len(r)) % 4 >= 2  # beta = 2 pi/3 and pi on the 4-point grid
+        return info, s_a, np.where(mirror, values + 0.5, values), ns, branches
+
+    monkeypatch.setattr(conjectures, "_core", raised)
+    code, out, err = run(capsys, ["sweep", "mixture", "--lambda", "0.3", "--grid-points", "4"])
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error: ") and "negative correlation" in err
 
 
 def test_exit_five_on_unknown_degeneracy(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from conftest import ginibre_state, kraus_operators, kraus_sum, random_x_params
 from discordlab.discord import (
     BRANCH_EQUI_ENTROPY,
     BRANCH_QUASI_EIGEN,
+    InternalInvariantError,
     correlation_report,
 )
 from discordlab.dynamics import (
@@ -153,9 +154,9 @@ def test_evolve_trajectory_branch_switch():
     t_bar = trajectory.critical_time
     assert t_bar == pytest.approx(np.log(4.0) / 2.0, abs=1e-9)
     np.testing.assert_allclose(trajectory.gammas, np.exp(-trajectory.times), atol=1e-14)
-    for t, report in zip(trajectory.times, trajectory.reports):
+    for t, branch in zip(trajectory.times, trajectory.branches):
         expected = BRANCH_EQUI_ENTROPY if t < t_bar - 1e-9 else BRANCH_QUASI_EIGEN
-        assert report.branch == expected
+        assert branch == expected
 
 
 def test_evolve_trajectory_quasi_start_constant_classical():
@@ -166,7 +167,7 @@ def test_evolve_trajectory_quasi_start_constant_classical():
         steps=9,
     )
     assert trajectory.critical_time is None
-    classical = [report.classical for report in trajectory.reports]
+    classical = trajectory.classical.tolist()
     assert max(classical) - min(classical) < 1e-12
 
 
@@ -179,7 +180,11 @@ def test_evolve_trajectory_non_phase_channel_has_no_critical_time():
         channel="amplitude_damping",
     )
     assert trajectory.critical_time is None
-    assert len(trajectory.reports) == 5
+    assert len(trajectory.branches) == 5
+    assert all(isinstance(branch, str) for branch in trajectory.branches)
+    for field in ("mutual_info", "classical", "discord"):
+        values = getattr(trajectory, field)
+        assert values.shape == (5,) and not values.flags.writeable
 
 
 def test_evolve_trajectory_validation():
@@ -201,10 +206,34 @@ def test_trajectory_requires_increasing_times():
         Trajectory(
             times=np.array([0.0, 0.0]),
             gammas=np.array([1.0, 1.0]),
-            reports=(None, None),
+            mutual_info=np.zeros(2),
+            classical=np.zeros(2),
+            discord=np.zeros(2),
+            branches=("numeric", "numeric"),
             semi_axes=np.zeros((2, 3)),
             critical_time=None,
         )
+
+
+def test_trajectory_checks_every_step_as_a_report():
+    # the rules of CorrelationReport, in its order, over the steps' arrays:
+    # each case also breaks every rule after the one it expects
+    good = dict(mutual_info=[1.0, 0.5], classical=[0.6, 0.2], discord=[0.4, 0.3])
+    cases = [
+        ({"branches": ("numeric", "mystery"), "discord": [0.4, -0.2]}, "unknown branch"),
+        ({"discord": [0.4, -0.2]}, r"I = C \+ Q violated"),
+        ({"classical": [0.6, 0.6], "discord": [0.4, -0.1]}, "C = 0.6, Q = -0.1"),
+    ]
+    for change, message in cases:
+        fields = {**good, "branches": ("numeric", "quasi_eigen"), **change}
+        with pytest.raises(InternalInvariantError, match=message):
+            Trajectory(
+                times=np.array([0.0, 1.0]),
+                gammas=np.array([1.0, 0.5]),
+                semi_axes=np.zeros((2, 3)),
+                critical_time=None,
+                **fields,
+            )
 
 
 STACKED_CASES = {
@@ -223,13 +252,13 @@ def test_stacked_trajectory_matches_per_step_reports(kind, channel):
     rate, grid = 1.3, (31, 60)
     trajectory = evolve_trajectory(rho0, rate=rate, t_max=2.0, steps=21, channel=channel,
                                    grid=grid)
-    for t, report in zip(trajectory.times, trajectory.reports):
+    for k, t in enumerate(trajectory.times):
         decay = np.exp(-rate * t)
         strength = decay if channel == "phase_damping" else 1.0 - decay
         step = correlation_report(apply_named_channel(rho0, channel, strength), grid=grid)
-        assert report.branch == step.branch
+        assert trajectory.branches[k] == step.branch
         for field in ("mutual_info", "classical", "discord"):
-            assert abs(getattr(report, field) - getattr(step, field)) <= 1e-12, (t, field)
+            assert abs(getattr(trajectory, field)[k] - getattr(step, field)) <= 1e-12, (t, field)
     params = extract_x_params(rho0)
     expected = None
     if channel == "phase_damping" and params is not None:
@@ -245,5 +274,5 @@ def test_trajectory_validates_no_state_per_step(monkeypatch):
         TwoQubitState, "__post_init__", lambda state: calls.append(state) or validate(state)
     )
     trajectory = evolve_trajectory(rho0, rate=1.0, t_max=2.0, steps=21)
-    assert len(trajectory.reports) == 21
+    assert len(trajectory.branches) == 21
     assert calls == []

@@ -3,10 +3,10 @@
 ``perfbench/spans.py`` replaces the layers' functions with span-recording
 wrappers.  A renamed or bypassed function would leave its span empty and
 only show up as missing per-layer metrics, so this test runs a traced
-``compute``, ``conjecture mixture``, ``dynamics`` and a two-thread
-``conjecture general-r`` (the one caller of the wrapped worker map) and
-checks that the kernel spans were recorded, and that the trajectory and
-its critical time were.
+``compute``, ``conjecture mixture``, ``dynamics``, a two-thread
+``conjecture general-r`` (the one caller of the wrapped worker map) and a
+two-thread ``sweep mixture``, and checks that the kernel spans were
+recorded, and that the trajectory, its critical time and the sweep were.
 """
 
 import json
@@ -38,6 +38,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                                 "--steps", "3"]),
         cli.parse_and_dispatch(["conjecture", "general-r", "--samples", "2", "--seed", "5",
                                 "--threads", "2"]),
+        cli.parse_and_dispatch(["sweep", "mixture", "--lambda", "0.3", "--grid-points", "3",
+                                "--threads", "2"]),
     ]
 print(json.dumps({"codes": codes, "spans": sorted(set(tracer.names))}))
 """
@@ -52,7 +54,7 @@ def test_benchmark_spans_reach_the_kernels():
         cwd=ROOT,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     expected = {
         "kernels.oracle",
         "kernels.grid_build",
@@ -61,5 +63,6 @@ def test_benchmark_spans_reach_the_kernels():
         "kernels.circle_scan",
         "dynamics.trajectory",
         "dynamics.critical_time",
+        "conjectures.sweep",
     }
     assert expected <= set(result["spans"])
