@@ -21,8 +21,10 @@ mapped afresh.
 
 When R ignores the measured qubit's y axis the search reduces exactly to
 the x-z great circle, scanned by ``min_entropy_circle_scan`` for one R or
-an (N, 4, 4) stack: every state's nodes in one array operation, then one
-descent over the states still moving.
+an (N, 4, 4) stack in blocks of states: no call of ``_avg_entropy`` it
+makes evaluates more than ``_CIRCLE_PAIRS`` (state, angle) pairs, so the
+node pass takes 16 states at a time on the default grid and the descent
+360, each block of the descent moving all its states together.
 
 Both scans evaluate the entropy with ``_avg_entropy``, the entropy sum
 over ``_outcomes``, the one forward map from R and n to p+- and |y+-|.  It
@@ -60,6 +62,13 @@ _LEVELS = 8  # step halvings probed per call in the descent
 _OFFSETS = np.outer((1.0, -1.0), 0.5 ** np.arange(_LEVELS)).ravel()
 _SCALES = np.abs(_OFFSETS)
 _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcomes + and - along a leading axis
+# (state, angle) pairs one _avg_entropy call of the circle scan may evaluate:
+# 16 states at the default grid's 360 circle nodes, or 360 states at the
+# descent's 16 probes.  A call's temporaries, (2, 5760) doubles each, keep a
+# 1k-sample survey's peak RSS where 16-state chunks kept it (41.2 MB in a
+# perfbench survey run); at 16 * 1000 pairs, one descent over the 1,000
+# states, it reads ~2.1 MB more
+_CIRCLE_PAIRS = 16 * 360
 # Directions per block in avg_entropy_numpy.  A block's temporaries
 # (~0.4 MB) plus the 0.5 MB result of a 181 x 360 grid stay below glibc's
 # heap trim threshold, so warm calls reuse heap pages instead of faulting
@@ -416,18 +425,20 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     antipodal directions give the same measurement.  The scan visits the
     2 (n_polar - 1) nodes of an (n_polar x n_azimuth) hemisphere grid that
     lie on this circle (azimuth 0 and, through the origin, azimuth pi), so
-    the azimuth count does not enter.  All states' nodes are evaluated in
-    one array operation; ``_refine_python`` then refines every state's best
-    node over xi at once, each with its own step, until the step drops
-    below ``refine_tol`` radians (> 0), probing xi +- step / 2**j for eight
-    halvings j per call.  A result is never above its best node.  Returns
-    ``(value, xi)`` for one matrix and ``(values, xis)`` arrays for a
-    stack, xi being the descent's own angle, near [0, pi) but not folded
-    into it: the value is the one at n(xi), bitwise.
+    the azimuth count does not enter.  The nodes are evaluated for
+    ``_CIRCLE_PAIRS // nodes`` states at a time (16 on the default grid,
+    at least one); ``_refine_python`` then refines the best nodes of
+    ``_CIRCLE_PAIRS // len(_OFFSETS)`` = 360 states at a time over xi, each
+    state with its own step, until the step drops below ``refine_tol``
+    radians (> 0), probing xi +- step / 2**j for eight halvings j per
+    call.  A result is never above its best node.  Returns ``(value, xi)``
+    for one matrix and ``(values, xis)`` arrays for a stack, xi being the
+    descent's own angle, near [0, pi) but not folded into it: the value is
+    the one at n(xi), bitwise.
 
     Values come from ``_avg_entropy`` with the two terms sin xi and cos xi,
-    so a state's result is bitwise the same alone, in any stack and in any
-    chunk of one.
+    and each state descends on its own, so a state's result is bitwise the
+    same alone, in any stack and in any block of one.
 
     This is the global minimum over the whole sphere only when column 2
     of ``r`` vanishes (the measured qubit's y axis does not enter);
@@ -445,13 +456,25 @@ def min_entropy_circle_scan(r, n_polar, refine_tol=1e-6):
     def on_circle(states, xi):  # values at n = (sin xi, 0, cos xi)
         return _avg_entropy(states, ((1, np.sin(xi)), (3, np.cos(xi))))
 
-    vals = on_circle(stack, nodes)
-    k = vals.argmin(axis=1)
-
-    def objective(rows, angles):
-        return on_circle(stack[rows], angles)
-
-    best, xi = _refine_python(objective, nodes[k], vals[np.arange(len(k)), k], d_xi, refine_tol)
+    count = len(stack)
+    start, start_value = np.empty(count), np.empty(count)
+    rows = max(1, _CIRCLE_PAIRS // len(nodes))
+    for i in range(0, count, rows):
+        vals = on_circle(stack[i : i + rows], nodes)
+        k = vals.argmin(axis=1)
+        start[i : i + rows], start_value[i : i + rows] = nodes[k], vals[np.arange(len(k)), k]
+    best, xi = np.empty(count), np.empty(count)
+    rows = _CIRCLE_PAIRS // len(_OFFSETS)
+    for i in range(0, count, rows):
+        block = slice(i, i + rows)
+        states = stack[block]
+        best[block], xi[block] = _refine_python(
+            lambda live, angles, states=states: on_circle(states[live], angles),
+            start[block],
+            start_value[block],
+            d_xi,
+            refine_tol,
+        )
     if r.ndim == 2:
         return float(best[0]), float(xi[0])
     return best, xi

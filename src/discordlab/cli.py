@@ -98,6 +98,8 @@ def _checked(convert, valid, rule):
 _grid_points = _checked(int, lambda points: points >= 2, "need at least 2 points per axis")
 _sample_count = _checked(int, lambda count: count >= 1, "need at least 1 sample")
 _tolerance = _checked(float, lambda tol: 0.0 <= tol < np.inf, "need a finite tolerance >= 0")
+# inf never fails; NaN would switch the gate off, since no gap compares above it
+_gap_bound = _checked(float, lambda bound: not np.isnan(bound), "need a bound that is not NaN")
 
 
 def _is_number(value):
@@ -546,7 +548,7 @@ def _build_parser():
     mixture.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID, help=polar_only)
     mixture.add_argument(
         "--fail-above",
-        type=float,
+        type=_gap_bound,
         default=1e-4,
         help="exit 4 when any gap exceeds this",
     )

@@ -226,19 +226,19 @@ def mixture_ensemble(p, m):
 
 
 def sample_mixture_params(count, seed):
-    """Uniform (lam, alpha, beta) draws, one spawned RNG stream per sample."""
+    """Uniform (lam, alpha, beta) draws, one spawned RNG stream per sample.
+
+    Sample k takes the first three outputs of PCG64 seeded by child k of
+    ``SeedSequence(seed)``, so a shorter run is a prefix of a longer one.
+    The uniforms follow numpy's ``Generator.uniform``, low + (high - low)
+    times the top 53 bits scaled to [0, 1), and equal bitwise what
+    ``default_rng(child).uniform`` draws, without a Generator per sample.
+    """
     children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        out.append(
-            MixtureParams(
-                lam=rng.uniform(0.0, 1.0),
-                alpha=rng.uniform(0.0, np.pi / 2),
-                beta=rng.uniform(0.0, np.pi / 2),
-            )
-        )
-    return out
+    raw = np.array([np.random.PCG64(child).random_raw(3) for child in children], dtype=np.uint64)
+    low, high = np.zeros(3), np.array([1.0, np.pi / 2, np.pi / 2])
+    draws = low + (high - low) * ((raw.reshape(-1, 3) >> np.uint64(11)) * 2.0**-53)
+    return [MixtureParams(*row) for row in draws.tolist()]
 
 
 def test_equi_entropy_conjecture(samples, seed, grid=DEFAULT_GRID, refine_tol=1e-9):

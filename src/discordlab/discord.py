@@ -74,11 +74,6 @@ TIE_TOL = 1e-12  # |S_GH - S_EF| ties are reported as quasi_eigen
 # value out of range by less is pulled back in, by more is a fault
 _SLACK = 1e-9
 CIRCLE_TOL = 1e-12  # max |R[:, 2]| at or below this: Bob's y axis does not enter
-# rows per stacked circle-scan call, run one after the other.  A chunk's scan
-# temporaries, (2, 16, 360) doubles each, keep a 1k-sample survey's peak RSS
-# at the one-state loop's; 24 states add ~0.6 MB, 32 ~1.4 MB and 128 ~6 MB,
-# for 10-20% less CPU per state at 24 or 32
-_CIRCLE_CHUNK = 16
 
 BRANCH_QUASI_EIGEN = "quasi_eigen"
 BRANCH_EQUI_ENTROPY = "equi_entropy"
@@ -164,12 +159,21 @@ class CorrelationReport:
 
 def _check_rows(info, classical, discord, branches):
     """Raise InternalInvariantError unless each row of I, C, Q (arrays or scalars)
-    and its branch label hold, in this order: a known label, I = C + Q within
-    ``_SLACK``, C and Q >= -``_SLACK``.  The first row that breaks one is named."""
+    and its branch label hold, in this order: a known label, finite I, C and
+    Q, I = C + Q within ``_SLACK``, C and Q >= -``_SLACK``.  The first row
+    that breaks one is named.  The finiteness rule comes before the
+    comparisons, which NaN would pass."""
     unknown = [branch for branch in branches if branch not in _BRANCHES]
     if unknown:
         raise InternalInvariantError(f"unknown branch label {unknown[0]!r}")
     info, classical, discord = np.atleast_1d(info, classical, discord)
+    finite = np.isfinite(info) & np.isfinite(classical) & np.isfinite(discord)
+    if not finite.all():
+        k = np.flatnonzero(~finite)[0]
+        raise InternalInvariantError(
+            f"non-finite correlation: I = {float(info[k])!r}, C = {float(classical[k])!r}, "
+            f"Q = {float(discord[k])!r}"
+        )
     if (np.abs(info - classical - discord) > _SLACK).any():
         raise InternalInvariantError("I = C + Q violated beyond 1e-9")
     negative = np.flatnonzero((classical < -_SLACK) | (discord < -_SLACK))
@@ -346,17 +350,12 @@ def _circle_minimum(r, n_polar, refine_tol=1e-6):
     unsharp measurement along (n1, 0, n3)/|.|, which by concavity of h
     cannot beat the sharp one: the minimum over the sphere lies on the x-z
     great circle.  ``min_entropy_circle_scan`` visits the hemisphere grid's
-    nodes on that circle, so only ``n_polar`` sets its resolution.  Rows go
-    to it in chunks of ``_CIRCLE_CHUNK``, one after the other; the scan
-    sums each row's values element by element, so a row's result is
-    bitwise the same whatever the chunking.  The caller checks the column.
+    nodes on that circle, so only ``n_polar`` sets its resolution.  The
+    whole stack goes to it in one call, which bounds its own working set;
+    a row's result does not depend on the rest of the stack.  The caller
+    checks the column.
     """
-    done = [
-        min_entropy_circle_scan(r[i : i + _CIRCLE_CHUNK], n_polar, refine_tol)
-        for i in range(0, len(r), _CIRCLE_CHUNK)
-    ]
-    value = np.concatenate([v for v, _ in done])
-    xi = np.concatenate([x for _, x in done])
+    value, xi = min_entropy_circle_scan(r, n_polar, refine_tol)
     # n and -n give the same value bitwise: flip to n3 >= 0, as on the
     # hemisphere grid, keeping n2 at +0.0
     cos = np.cos(xi)
@@ -374,7 +373,7 @@ def _minimum(r, rho, method="auto", grid=DEFAULT_GRID, refine_tol=1e-6):
 
     * X rows (the test of ``extract_x_params`` on ``rho``) to the closed forms;
     * other rows whose column 2 vanishes within ``CIRCLE_TOL`` to the
-      exact x-z circle (``_circle_minimum``, in chunks);
+      exact x-z circle (``_circle_minimum``, one stacked scan);
     * the rest one by one to the 2-D oracle on ``grid``.
 
     ``method`` numeric sends every row to the 2-D oracle, and analytic

@@ -119,6 +119,13 @@ def test_exit_two_on_flag_errors(capsys):
             code, out, err = run(capsys, argv)
             assert (code, out) == (2, "")
             assert flag in err and "finite tolerance" in err
+    # no gap compares above NaN, so it used to switch the exit-4 gate off;
+    # inf still means "never fail"
+    argv = ["conjecture", "mixture", "--samples", "3", "--seed", "1", "--fail-above", "nan"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "--fail-above" in err and "NaN" in err
+    assert run(capsys, [*argv[:-1], "inf"])[0] == 0
 
 
 def test_exit_two_on_threads_below_one(capsys, monkeypatch):
@@ -626,6 +633,32 @@ def test_exit_five_on_unknown_branch(capsys, monkeypatch, argv):
     assert code == 5
     assert out == ""
     assert err.startswith("internal error: ") and "unknown branch" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--state", X_SPEC],
+        ["dynamics", "--state", X_SPEC, "--rate", "1", "--t-max", "1", "--steps", "3"],
+    ],
+    ids=["compute", "dynamics"],
+)
+def test_exit_five_on_non_finite_correlation(capsys, monkeypatch, argv):
+    # NaN passes every comparison of the invariant check; it used to be
+    # printed as a value with exit 0
+    monkeypatch.setattr(
+        discord,
+        "_x_minimum",
+        lambda r: (
+            np.full(len(r), np.nan),
+            np.tile([0.0, 0.0, 1.0], (len(r), 1)),
+            np.full(len(r), discord.BRANCH_EQUI_ENTROPY),
+        ),
+    )
+    code, out, err = run(capsys, argv)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: ") and "non-finite correlation" in err
 
 
 def test_exit_five_on_negative_correlation_in_sweep_mirror_half(capsys, monkeypatch):

@@ -131,6 +131,22 @@ def test_sample_mixture_params_reproducible():
         assert (a.lam, a.alpha, a.beta) == (b.lam, b.alpha, b.beta)
 
 
+@pytest.mark.parametrize("seed", [1, 42, 20250814])
+def test_sample_mixture_params_match_generator_uniform(seed):
+    # the draws read PCG64's raw outputs with numpy's uniform formula; they
+    # must stay bitwise what a Generator per sample draws
+    drawn = sample_mixture_params(1000, seed)
+    children = np.random.SeedSequence(seed).spawn(1000)
+    for params, child in zip(drawn, children):
+        rng = np.random.default_rng(child)
+        expected = (
+            rng.uniform(0.0, 1.0),
+            rng.uniform(0.0, np.pi / 2),
+            rng.uniform(0.0, np.pi / 2),
+        )
+        assert (params.lam, params.alpha, params.beta) == expected
+
+
 def test_gap_survey_small_run():
     run = conjectures.test_equi_entropy_conjecture(samples=25, seed=7)
     assert len(run.samples) == 25
@@ -141,16 +157,43 @@ def test_gap_survey_small_run():
 
 
 def test_survey_chunking_does_not_change_results(monkeypatch):
-    # samples go to the stacked circle oracle in chunks; a row's bits do not
-    # depend on which chunk it lands in
-    default = conjectures.test_equi_entropy_conjecture(samples=100, seed=5)
-    monkeypatch.setattr(discord, "_CIRCLE_CHUNK", 7)
-    rechunked = conjectures.test_equi_entropy_conjecture(samples=100, seed=5)
-    for a, b in zip(default.samples, rechunked.samples):
-        assert a.gap == b.gap
-        assert a.min_entropy == b.min_entropy
-        n_a, n_b = a.optimal_measurement.direction, b.optimal_measurement.direction
-        assert n_a.tobytes() == n_b.tobytes()
+    # the circle scan evaluates its stack in blocks of at most _CIRCLE_PAIRS
+    # (state, angle) pairs: by default 16 states per node pass and 360 per
+    # descent; a row's bits do not depend on which block it lands in
+    default = conjectures.test_equi_entropy_conjecture(samples=400, seed=5)
+    # 112 pairs: one state per node pass and 7 per descent block; 16 x 361:
+    # descent blocks of 361 and 39 states instead of 360 and 40
+    for pairs in (112, 16 * 361):
+        monkeypatch.setattr(_kernels, "_CIRCLE_PAIRS", pairs)
+        rechunked = conjectures.test_equi_entropy_conjecture(samples=400, seed=5)
+        for a, b in zip(default.samples, rechunked.samples):
+            assert a.gap == b.gap
+            assert a.min_entropy == b.min_entropy
+            n_a, n_b = a.optimal_measurement.direction, b.optimal_measurement.direction
+            assert n_a.tobytes() == n_b.tobytes()
+
+
+def test_circle_scan_bounds_each_entropy_call(monkeypatch):
+    # no _avg_entropy call of the circle scan evaluates more than
+    # _CIRCLE_PAIRS (state, angle) pairs, and a 1k-sample stack descends in
+    # a few blocks: 16-state chunks, each with its own descent, took 668 calls
+    drawn = sample_mixture_params(1000, 5)
+    r = conjectures._mixture_circle_r(*np.array([(p.lam, p.alpha, p.beta) for p in drawn]).T)
+    sizes = []
+    avg_entropy = _kernels._avg_entropy
+
+    def counted(states, terms):
+        values = avg_entropy(states, terms)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(_kernels, "_avg_entropy", counted)
+    _kernels.min_entropy_circle_scan(r, DEFAULT_GRID[0], 1e-9)
+    assert max(sizes) <= _kernels._CIRCLE_PAIRS
+    sizes.clear()
+    discord._circle_minimum(r, DEFAULT_GRID[0], 1e-9)
+    assert max(sizes) <= _kernels._CIRCLE_PAIRS
+    assert len(sizes) < 150
 
 
 def test_mixture_r_matches_pauli_expansion():

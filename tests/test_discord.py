@@ -320,6 +320,17 @@ def test_correlation_report_validation():
             optimal_ensemble=(),
             branch="numeric",
         )
+    # NaN passes every comparison, so it needs a rule of its own
+    with pytest.raises(InternalInvariantError, match="non-finite correlation"):
+        CorrelationReport(
+            mutual_info=np.nan,
+            classical=np.nan,
+            discord=np.nan,
+            min_avg_entropy=np.nan,
+            optimal_measurement=ProjectiveMeasurement(np.array([0.0, 0.0, 1.0])),
+            optimal_ensemble=(),
+            branch="numeric",
+        )
 
 
 def test_local_unitary_invariance(rng):
